@@ -141,10 +141,6 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
                 backward,
                 prefetch_lookahead: 1,
                 placement: None,
-                // Baseline comparisons are partition-level by definition;
-                // pin the tile scheduler off so an exported
-                // LANCET_TILE_COUNT cannot skew figure regeneration.
-                tile: None,
             };
             let lancet = Lancet::new(spec.clone(), cfg.gpus, options);
             let outcome = lancet.optimize(forward)?;

@@ -145,7 +145,6 @@ pub fn hyperparams(quick: bool) -> Vec<Record> {
             backward: BackwardOptions::default(),
             prefetch_lookahead: 1,
             placement: None,
-            tile: None,
         };
         let lancet = Lancet::new(spec.clone(), gpus, options);
         let fwd = build_forward(&cfg).expect("build").graph;
@@ -197,7 +196,6 @@ pub fn allreduce_interference(quick: bool) -> Vec<Record> {
                 backward: backward.clone(),
                 prefetch_lookahead: 1,
                 placement: None,
-                tile: None,
             };
             let lancet = Lancet::new(spec.clone(), gpus, options);
             let fwd = build_forward(&cfg).expect("build").graph;

@@ -2,9 +2,8 @@
 //! prediction.
 
 use crate::{
-    apply_tile_schedule, partition_pass_with, prefetch_allgathers, schedule_weight_gradients,
-    DwScheduleReport, PartitionMemo, PartitionOptions, PartitionReport, PrefetchReport,
-    TileReport, TileSchedule, TimeEstimator,
+    partition_pass_with, prefetch_allgathers, schedule_weight_gradients, DwScheduleReport,
+    PartitionMemo, PartitionOptions, PartitionReport, PrefetchReport, TimeEstimator,
 };
 use lancet_cost::{
     optimize_placement, CachingOpProfiler, ClusterSpec, CommCostModel, CommModel, ComputeModel,
@@ -32,14 +31,6 @@ pub struct LancetOptions {
     /// the partition pass and attaches the resulting plan to the
     /// outcome. `None` keeps the implicit uniform placement.
     pub placement: Option<PlacementSearch>,
-    /// Tile-granular overlap schedule (Comet direction): when set, the
-    /// partition pass's output is refined by
-    /// [`apply_tile_schedule`](crate::apply_tile_schedule), splitting
-    /// each uniform all-to-all → expert-FFN → all-to-all segment into
-    /// capacity tiles with an interleaved per-stream order. `None` (the
-    /// default unless `LANCET_TILE_COUNT` is set) keeps partition-level
-    /// scheduling and produces byte-identical plans to previous releases.
-    pub tile: Option<TileSchedule>,
 }
 
 /// Inputs for the placement search inside the optimization flow.
@@ -80,7 +71,6 @@ impl Default for LancetOptions {
             backward: BackwardOptions::default(),
             prefetch_lookahead: 1,
             placement: None,
-            tile: TileSchedule::from_env(),
         }
     }
 }
@@ -103,15 +93,11 @@ impl LancetOptions {
     ///   [`Lancet::options`].
     /// * dW scheduling and prefetch are training passes; no backward
     ///   graph exists at serving time.
-    /// * **Tile scheduling is forced off** (even when `LANCET_TILE_COUNT`
-    ///   is exported) for the same tensor-id-stability reason as the
-    ///   partition pass: the tile rewrite renumbers tensors.
     pub fn decode_serving() -> Self {
         LancetOptions {
             disable_dw_schedule: true,
             disable_partition: true,
             prefetch_lookahead: 0,
-            tile: None,
             ..LancetOptions::default()
         }
     }
@@ -162,9 +148,6 @@ pub struct OptimizeOutcome {
     pub predicted_time: f64,
     /// Partition-pass report (empty ranges when disabled).
     pub partition: Option<PartitionReport>,
-    /// Tile-scheduler report (`None` unless [`LancetOptions::tile`] was
-    /// set): how many uniform expert segments were split into tiles.
-    pub tile: Option<TileReport>,
     /// Expert-placement plan + report (`None` unless a routing histogram
     /// was supplied via [`LancetOptions::placement`]).
     pub placement: Option<PlacementOutcome>,
@@ -236,17 +219,6 @@ impl Lancet {
         Some(PlacementOutcome { plan, report })
     }
 
-    /// Applies the tile-granular overlap rewrite when configured. Runs
-    /// *after* the partition pass (it refines the partitioned plan's
-    /// uniform segments) and *before* autodiff, so forward and training
-    /// flows share it.
-    fn apply_tile(&self, graph: &mut Graph) -> Result<Option<TileReport>> {
-        let Some(sched) = &self.options.tile else { return Ok(None) };
-        let (tiled, report) = apply_tile_schedule(graph, sched)?;
-        *graph = tiled;
-        Ok(Some(report))
-    }
-
     /// Optimizes a *forward* graph into a full training iteration:
     /// operator partitioning (paper §5), autodiff, then dW scheduling
     /// (paper §4).
@@ -268,7 +240,6 @@ impl Lancet {
             stats.workers = report.workers;
             (g, Some(report))
         };
-        let tile = self.apply_tile(&mut graph)?;
         let backward_started = Instant::now();
         build_backward(&mut graph, &self.options.backward)?;
         let prefetch = prefetch_allgathers(&mut graph, self.options.prefetch_lookahead)?;
@@ -285,7 +256,6 @@ impl Lancet {
             graph,
             predicted_time,
             partition,
-            tile,
             placement: self.search_placement(),
             dw,
             prefetch,
@@ -312,7 +282,7 @@ impl Lancet {
     pub fn optimize_forward(&self, forward: Graph) -> Result<OptimizeOutcome> {
         let started = Instant::now();
         let mut stats = OptimizerStats::default();
-        let (mut graph, partition) = if self.options.disable_partition {
+        let (graph, partition) = if self.options.disable_partition {
             (forward, None)
         } else {
             let (g, report) =
@@ -323,13 +293,11 @@ impl Lancet {
             stats.workers = report.workers;
             (g, Some(report))
         };
-        let tile = self.apply_tile(&mut graph)?;
         let predicted_time = self.estimator.estimate(&graph)?.total;
         Ok(OptimizeOutcome {
             graph,
             predicted_time,
             partition,
-            tile,
             placement: self.search_placement(),
             dw: None,
             prefetch: PrefetchReport { moved: 0 },
@@ -353,7 +321,6 @@ impl Lancet {
             graph,
             predicted_time,
             partition: None,
-            tile: None,
             placement: None,
             dw: None,
             prefetch: PrefetchReport { moved: 0 },
@@ -392,15 +359,13 @@ mod tests {
 
     #[test]
     fn ablation_toggles_apply() {
-        let mut only_dw = LancetOptions::default();
-        only_dw.disable_partition = true;
+        let only_dw = LancetOptions { disable_partition: true, ..LancetOptions::default() };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, only_dw);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         assert!(out.partition.is_none());
         assert!(out.dw.is_some());
 
-        let mut only_part = LancetOptions::default();
-        only_part.disable_dw_schedule = true;
+        let only_part = LancetOptions { disable_dw_schedule: true, ..LancetOptions::default() };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, only_part);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         assert!(out.partition.is_some());
@@ -425,8 +390,10 @@ mod tests {
     #[test]
     fn optimize_threads_placement_plan() {
         let traffic = ExpertTraffic::synthetic(4, 16, 1024, 1.2, 0.8, 4096, 0x91ACE);
-        let mut options = LancetOptions::default();
-        options.placement = Some(PlacementSearch::new(traffic));
+        let options = LancetOptions {
+            placement: Some(PlacementSearch::new(traffic)),
+            ..LancetOptions::default()
+        };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, options);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         let placement = out.placement.expect("placement configured");

@@ -203,6 +203,8 @@ mod tests {
     }
 
     #[test]
+    // One-element segment lists are the inputs under test here.
+    #[allow(clippy::single_range_in_vec_init)]
     fn recompute_rejects_bad_segments() {
         let mut g = training(2);
         let loss = g.instrs().iter().position(|i| matches!(i.op, Op::CrossEntropy)).unwrap();

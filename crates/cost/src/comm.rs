@@ -3,32 +3,6 @@
 
 use crate::ClusterSpec;
 
-/// Per-tile byte payloads for an all-to-all buffer of `rows` capacity
-/// rows totalling `bytes`, split into `tiles` even-ish row slices
-/// (earlier tiles take the remainder — the same split rule as the tile
-/// scheduler's `Slice` emission and the partition codegen's chunk
-/// bounds).
-///
-/// This is the charging unit of tile-granular overlap: each tile's
-/// exchange is priced as a *full* all-to-all of its payload — including
-/// the per-message latency term — which is exactly the
-/// latency-multiplication vs overlap trade-off `lancet overlap-bench`
-/// sweeps. `tiles` is clamped to `rows` so every tile moves at least one
-/// row; `tiles = 0` is treated as 1.
-pub fn tile_payload_bytes(rows: usize, bytes: u64, tiles: usize) -> Vec<u64> {
-    let rows = rows.max(1);
-    let tiles = tiles.clamp(1, rows);
-    let base = rows / tiles;
-    let rem = rows % tiles;
-    let per_row = bytes as f64 / rows as f64;
-    (0..tiles)
-        .map(|t| {
-            let len = base + usize::from(t < rem);
-            (per_row * len as f64).round() as u64
-        })
-        .collect()
-}
-
 /// Ground-truth transfer-time model for collectives on the simulated
 /// interconnect (hierarchical NVLink/NIC with saturating bandwidth).
 ///
@@ -386,37 +360,6 @@ mod tests {
         let quarter = model.query_partitioned(1 << 24, 4);
         assert!(quarter < full);
         assert!((quarter - model.query((1 << 24) / 4)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tile_payloads_cover_buffer_exactly() {
-        // 10 rows, 4 tiles → row splits 3/3/2/2; byte totals preserved.
-        let parts = tile_payload_bytes(10, 4000, 4);
-        assert_eq!(parts, vec![1200, 1200, 800, 800]);
-        assert_eq!(parts.iter().sum::<u64>(), 4000);
-        // Clamps: more tiles than rows, zero tiles.
-        assert_eq!(tile_payload_bytes(2, 100, 8).len(), 2);
-        assert_eq!(tile_payload_bytes(5, 100, 0), vec![100]);
-        // Degenerate single tile is the whole buffer.
-        assert_eq!(tile_payload_bytes(7, 123, 1), vec![123]);
-    }
-
-    #[test]
-    fn tiling_multiplies_latency_but_splits_payload() {
-        // The trade-off the overlap ablation sweeps: per-tile exchanges
-        // each pay the latency term, so total comm time grows with the
-        // tile count even though the payload is conserved.
-        let model = CommModel::new(ClusterSpec::v100(2));
-        let whole = model.all_to_all_time(1 << 24, 16);
-        for tiles in [2usize, 4, 8] {
-            let total: f64 = tile_payload_bytes(512, 1 << 24, tiles)
-                .iter()
-                .map(|&b| model.all_to_all_time(b, 16))
-                .sum();
-            assert!(total > whole, "tiles={tiles}: {total} !> {whole}");
-            let per_tile = tile_payload_bytes(512, 1 << 24, tiles)[0];
-            assert!(model.all_to_all_time(per_tile, 16) < whole, "tiles={tiles}");
-        }
     }
 
     #[test]

@@ -106,6 +106,8 @@ fn partitioned(d: &MoeDims, parts: usize) -> (Graph, TensorId, TensorId, TensorI
     (g, x, wg, w1, w2, y)
 }
 
+// Takes the builders' (graph, x, wg, w1, w2, y) tuple apart by field.
+#[allow(clippy::too_many_arguments)]
 fn run_moe(
     g: &Graph,
     x: TensorId,

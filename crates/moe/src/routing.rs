@@ -412,7 +412,7 @@ mod tests {
         // be expert 0's single pick.
         let l = Tensor::from_vec(vec![3, 2], vec![9.0, 0.0, 1.0, 1.0, 0.0, 2.0]).unwrap();
         let r = route(GateKind::ExpertChoice, &l, 1, None).unwrap();
-        assert_eq!(r.assign[0 * 2 + 0], 0); // expert 0 chose token 0
+        assert_eq!(r.assign[0], 0); // token 0, slot 0: expert 0 chose token 0
         assert_eq!(r.assign[2 * 2 + 1], 1); // expert 1 chose token 2
     }
 

@@ -47,15 +47,6 @@ pub struct SimConfig {
     /// (see [`PlacementPlan::layer_profiles`]) so optimized and uniform
     /// placements can be compared on the same schedule.
     pub placement: Option<PlacementSim>,
-    /// Tile-interleave mode (Comet direction): when ≥ 2, each *uniform*
-    /// all-to-all is charged as that many per-tile exchanges along the
-    /// capacity axis, and the expert ops it feeds chain per tile — tile
-    /// `k`'s compute starts as soon as tile `k`'s transfer lands, so
-    /// communication hides inside the operator. Per-tile events carry
-    /// their tile index in the timeline/Gantt/Chrome trace. `1` (the
-    /// default) keeps whole-operator charging; irregular all-to-alls are
-    /// never tiled (their payloads are data-dependent).
-    pub tiles: usize,
 }
 
 /// A placement scenario for simulation replay: the expert→device plan
@@ -83,7 +74,6 @@ impl SimConfig {
             block_sparse_experts: false,
             fault_plan: FaultPlan::none(),
             placement: None,
-            tiles: 1,
         }
     }
 
@@ -118,14 +108,6 @@ impl SimConfig {
         self.placement = Some(PlacementSim { plan, traffic });
         self
     }
-
-    /// Enables tile-interleave mode with `tiles` tiles per uniform
-    /// all-to-all (builder style). Values ≤ 1 keep whole-operator
-    /// charging.
-    pub fn with_tiles(mut self, tiles: usize) -> Self {
-        self.tiles = tiles.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -138,22 +120,16 @@ mod tests {
             .with_compute_overhead(1.1)
             .with_memory_overhead(1.2)
             .with_seed(7)
-            .with_fault_plan(crate::FaultPlan::generate(3, 8, 0.5))
-            .with_tiles(4);
+            .with_fault_plan(crate::FaultPlan::generate(3, 8, 0.5));
         assert_eq!(c.gpus, 8);
         assert_eq!(c.compute_overhead, 1.1);
         assert_eq!(c.memory_overhead, 1.2);
         assert_eq!(c.seed, 7);
         assert!(!c.fault_plan.is_empty());
-        assert_eq!(c.tiles, 4);
-        // Degenerate tile counts clamp to whole-operator charging.
-        assert_eq!(SimConfig::new(8).with_tiles(0).tiles, 1);
     }
 
     #[test]
     fn default_is_healthy() {
-        let c = SimConfig::new(8);
-        assert!(c.fault_plan.is_empty());
-        assert_eq!(c.tiles, 1, "tile mode is opt-in");
+        assert!(SimConfig::new(8).fault_plan.is_empty());
     }
 }

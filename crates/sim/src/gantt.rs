@@ -6,13 +6,13 @@ use crate::{SimReport, Stream};
 /// Renders the two streams as fixed-width ASCII tracks.
 ///
 /// Each column is `iteration_time / width`; compute cells draw `#`,
-/// communication cells `=`, idle `.`. Events produced by the simulator's
-/// tile-interleave mode alternate marks by tile parity — `#`/`+` on the
-/// compute track, `=`/`-` on the comm track — so the per-tile
-/// interleaving is visible at a glance. A cell is marked when any
-/// instruction of that stream is active within its time slice (the
-/// earliest event in timeline order wins the cell). When the report
-/// carries injected faults, a trailing line summarizes what fired
+/// communication cells `=`, idle `.`. Events carrying a tile index
+/// ([`TimelineEvent::tile`](crate::TimelineEvent::tile)) alternate marks
+/// by tile parity — `#`/`+` on the compute track, `=`/`-` on the comm
+/// track — so a per-tile interleaving is visible at a glance. A cell is
+/// marked when any instruction of that stream is active within its time
+/// slice (the earliest event in timeline order wins the cell). When the
+/// report carries injected faults, a trailing line summarizes what fired
 /// (stretched compute, degraded collectives, retransmissions).
 ///
 /// # Example

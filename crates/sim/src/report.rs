@@ -27,9 +27,10 @@ pub struct TimelineEvent {
     pub start: f64,
     /// End time, seconds.
     pub end: f64,
-    /// Tile index when the instruction was split by tile-interleave mode
-    /// (`SimConfig::tiles` ≥ 2); `None` for whole-operator events. One
-    /// instruction then contributes several events sharing a `position`.
+    /// Tile index when an instruction was charged as several sub-events
+    /// sharing one `position`; `None` for whole-operator events, which is
+    /// every event [`Simulator`](crate::Simulator) emits. Gantt charts
+    /// stripe tiled events by parity and Chrome traces carry the index.
     pub tile: Option<usize>,
 }
 

@@ -45,8 +45,8 @@ pub fn to_chrome_trace(report: &SimReport) -> String {
             Stream::CommAux => (3, "comm-aux"),
         };
         // Complete event: name, category (track), timestamp+duration in
-        // µs. Tile-interleave sub-events carry their tile index so the
-        // per-tile pipeline is inspectable in the viewer.
+        // µs. Tiled sub-events carry their tile index so a per-tile
+        // pipeline is inspectable in the viewer.
         let args = match e.tile {
             Some(t) => format!("{{\"position\": {}, \"tile\": {}}}", e.position, t),
             None => format!("{{\"position\": {}}}", e.position),

@@ -389,7 +389,7 @@ mod tests {
                 total.fetch_add(j, Ordering::Relaxed);
             });
         });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * (0 + 1 + 2 + 3));
+        assert_eq!(total.load(Ordering::Relaxed), 4 * (0..4).sum::<usize>());
     }
 
     #[test]
@@ -437,6 +437,82 @@ mod tests {
                             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                             "thread {t} round {round}: task ran zero or multiple times"
                         );
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn overlapping_par_ranges_jobs_run_every_task_once() {
+        // Two threads submit `par_ranges` jobs to the global pool at the
+        // same time, with tasks slow enough that the jobs overlap.
+        for round in 0..200 {
+            let counters: Vec<Vec<AtomicUsize>> =
+                (0..2).map(|_| (0..64).map(|_| AtomicUsize::new(0)).collect()).collect();
+            std::thread::scope(|s| {
+                for c in &counters {
+                    s.spawn(move || {
+                        par_ranges(64, 8, |r| {
+                            for i in r {
+                                std::thread::sleep(std::time::Duration::from_micros(50));
+                                c[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                    });
+                }
+            });
+            for (t, c) in counters.iter().enumerate() {
+                for (i, x) in c.iter().enumerate() {
+                    assert_eq!(
+                        x.load(Ordering::Relaxed),
+                        1,
+                        "round {round}: submitter {t} task {i} ran wrong number of times"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_par_ranges_writes_are_complete() {
+        for round in 0..200 {
+            let mut bufs = vec![vec![0.0f32; 4096]; 2];
+            std::thread::scope(|s| {
+                for (t, buf) in bufs.iter_mut().enumerate() {
+                    s.spawn(move || {
+                        let view = SharedSliceMut::new(buf.as_mut_slice());
+                        par_ranges(4096, 8, |r| {
+                            // SAFETY: ranges from par_ranges are disjoint.
+                            let chunk = unsafe { view.range_mut(r.clone()) };
+                            for (off, x) in chunk.iter_mut().enumerate() {
+                                *x = (r.start + off + t) as f32 + 1.0;
+                            }
+                        });
+                    });
+                }
+            });
+            for (t, buf) in bufs.iter().enumerate() {
+                for (i, &x) in buf.iter().enumerate() {
+                    assert_eq!(x, (i + t) as f32 + 1.0, "round {round} submitter {t} elem {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matmul_is_bit_identical_under_concurrent_submitters() {
+        use crate::{gemm, TensorRng};
+        let mut rng = TensorRng::seed(42);
+        let a = rng.uniform(vec![130, 300], -1.0, 1.0);
+        let b = rng.uniform(vec![300, 170], -1.0, 1.0);
+        let reference = gemm::matmul_reference(&a, &b, false, false).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..30 {
+                        let y = gemm::matmul_tiled(&a, &b, false, false, 0).unwrap();
+                        assert_eq!(y.data(), reference.data(), "tiled diverged under concurrency");
                     }
                 });
             }

@@ -10,7 +10,6 @@
 //! lancet tune-gemm [--samples 3] [--quick]
 //! lancet pack-model [--model tiny] [--gpus 1] [--out results/model-tiny.lancet]
 //! lancet fleet-bench [--replicas 4] [--requests 96] [--floor 10] [--quick]
-//! lancet overlap-bench [--quick]
 //! ```
 //!
 //! `optimize` runs the Lancet passes on one configuration and reports the
@@ -48,14 +47,6 @@
 //! run writes `results/BENCH_fleet.json` including cold-start timings
 //! (store-mapped vs generated registration, separate from first-request
 //! latency).
-//! `overlap-bench` sweeps tile counts over the model zoo, comparing the
-//! tile-granular schedule (per-tile all-to-alls + expert GEMMs from
-//! `TileSchedule`) against the partition-level schedule in simulated
-//! step time, plus the simulator's tile-interleave mode applied to the
-//! partition-level graph. It fails unless `tiles = 1` reproduces the
-//! partition-level program exactly and at least one tile count on one
-//! model strictly beats partition level; the full run writes
-//! `results/BENCH_overlap.json`.
 
 use lancet_repro::baselines::{run_system, System};
 use lancet_repro::core::{Lancet, LancetOptions};
@@ -67,7 +58,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: lancet <optimize|compare|serve-bench|chaos-bench|placement-bench|decode-bench|tune-gemm|pack-model|fleet-bench|overlap-bench> [options]
+usage: lancet <optimize|compare|serve-bench|chaos-bench|placement-bench|decode-bench|tune-gemm|pack-model|fleet-bench> [options]
 
 pack-model options:
   --model <s|l|mixtral|tiny>  model to pack (default: tiny)
@@ -81,12 +72,6 @@ fleet-bench options:
   --floor <MS>              per-batch service floor, emulating a fixed-latency
                             device on small hosts (default: 10)
   --quick                   scaling + crash gates only, no artifact (verify.sh)
-
-overlap-bench options:
-  --quick                   conformance + win floor on a small zoo, no artifact
-                            (used by verify.sh); the full run sweeps tile
-                            counts {1,2,4,8} over four sim-sized paper models
-                            and writes results/BENCH_overlap.json
 
 tune-gemm options:
   --samples <N>             timed runs per candidate blocking (default: 3)
@@ -1404,132 +1389,6 @@ fn cmd_fleet_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_overlap_bench(opts: &HashMap<String, String>) -> Result<(), String> {
-    use lancet_repro::core::TileSchedule;
-
-    let quick = opts.contains_key("quick");
-    let tile_counts: &[usize] = &[1, 2, 4, 8];
-    // Sim-sized paper models across both interconnect regimes. Tile
-    // overlap only pays where a segment\'s expert GEMMs can hide its
-    // all-to-all: single-node NVLink clusters with large per-GPU batches
-    // (compute-bound segments). The 2-node NIC configs and mixtral are
-    // kept deliberately — they are comm-bound, so every tile count loses
-    // to partition level there and the sweep records the regime boundary.
-    // The quick gate keeps the two headline winners so verify.sh stays
-    // seconds-bounded.
-    let zoo: Vec<(&str, ClusterKind, GptMoeConfig)> = vec![
-        ("gpt2-s-moe/top2/a100-1n", ClusterKind::A100,
-         GptMoeConfig::gpt2_s_moe(8, GateKind::TopK { k: 2 }).with_layers(4).with_batch(32)),
-        ("gpt2-s-moe/switch/v100-1n", ClusterKind::V100,
-         GptMoeConfig::gpt2_s_moe(8, GateKind::Switch).with_layers(4).with_batch(64)),
-        ("gpt2-s-moe/switch/a100-1n", ClusterKind::A100,
-         GptMoeConfig::gpt2_s_moe(8, GateKind::Switch).with_layers(4).with_batch(64)),
-        ("gpt2-l-moe/switch/a100-1n", ClusterKind::A100,
-         GptMoeConfig::gpt2_l_moe(8, GateKind::Switch).with_layers(4).with_batch(32)),
-        ("mixtral-moe/a100-1n", ClusterKind::A100,
-         GptMoeConfig::mixtral_moe(8).with_layers(4).with_batch(16)),
-        ("gpt2-s-moe/switch/v100-2n", ClusterKind::V100,
-         GptMoeConfig::gpt2_s_moe(16, GateKind::Switch).with_layers(4).with_batch(8)),
-    ];
-    let zoo: Vec<_> = if quick { zoo.into_iter().take(2).collect() } else { zoo };
-
-    println!(
-        "overlap-bench: tile-granular vs partition-level schedules, tiles {tile_counts:?}{}\n",
-        if quick { " (quick)" } else { "" }
-    );
-    println!(
-        "{:<20} {:>6} {:>12} {:>6} {:>12} {:>12} {:>9}",
-        "model", "tiles", "partition", "segs", "tiled (ms)", "interleave", "speedup"
-    );
-
-    let mut rows = Vec::new();
-    let mut best_speedup = 0.0f64;
-    let mut best_config = String::new();
-    for (name, kind, cfg) in &zoo {
-        let spec = ClusterSpec::of(*kind, cfg.gpus.div_ceil(8).max(1));
-        // Partition-level reference: the tile scheduler pinned off so an
-        // exported LANCET_TILE_COUNT cannot skew the baseline column.
-        let base_opts = LancetOptions { tile: None, ..Default::default() };
-        let lancet = Lancet::new(spec.clone(), cfg.gpus, base_opts);
-        let fwd = build_forward(cfg).map_err(|e| e.to_string())?.graph;
-        let base = lancet.optimize_forward(fwd.clone()).map_err(|e| e.to_string())?;
-        let sim = |tiles: usize| {
-            Simulator::new(
-                ComputeModel::new(spec.device.clone()),
-                CommModel::new(spec.clone()),
-                SimConfig::new(cfg.gpus).with_tiles(tiles),
-            )
-        };
-        let base_ms = sim(1).simulate(&base.graph).iteration_time * 1e3;
-        let mut tile_rows = Vec::new();
-        for &k in tile_counts {
-            let topts = LancetOptions { tile: Some(TileSchedule::new(k)), ..Default::default() };
-            let out = Lancet::new(spec.clone(), cfg.gpus, topts)
-                .optimize_forward(fwd.clone())
-                .map_err(|e| e.to_string())?;
-            let report = out.tile.unwrap_or_default();
-            if k == 1 {
-                // Conformance: tiles=1 must be the partition-level program,
-                // op for op.
-                let (a, b) = (to_text(&base.graph), to_text(&out.graph));
-                if a != b {
-                    return Err(format!("{name}: tiles=1 diverged from the partition-level schedule"));
-                }
-            }
-            // Tile-granular schedule simulated on the stock two-stream
-            // engine: overlap comes from the per-tile graph dependencies.
-            let tiled_ms = sim(1).simulate(&out.graph).iteration_time * 1e3;
-            // The simulator's own tile-interleave mode applied to the
-            // *partition-level* graph — the modeled counterpart.
-            let interleave_ms = sim(k).simulate(&base.graph).iteration_time * 1e3;
-            let speedup = base_ms / tiled_ms;
-            println!(
-                "{:<20} {:>6} {:>10.2}ms {:>6} {:>10.2}ms {:>10.2}ms {:>8.3}x",
-                name, k, base_ms, report.segments, tiled_ms, interleave_ms, speedup
-            );
-            if k > 1 && speedup > best_speedup {
-                best_speedup = speedup;
-                best_config = format!("{name}@tiles={k}");
-            }
-            tile_rows.push(format!(
-                "      {{\"tiles\": {k}, \"segments\": {}, \"skipped\": {}, \"ops_added\": {}, \
-                 \"tiled_ms\": {tiled_ms:.4}, \"interleave_ms\": {interleave_ms:.4}, \
-                 \"speedup\": {speedup:.4}}}",
-                report.segments, report.skipped, report.ops_added
-            ));
-        }
-        rows.push(format!(
-            "    {{\"model\": \"{name}\", \"cluster\": \"{kind}\", \"gpus\": {}, \
-             \"partition_ms\": {base_ms:.4}, \"sweep\": [\n{}\n    ]}}",
-            cfg.gpus,
-            tile_rows.join(",\n")
-        ));
-        println!();
-    }
-
-    if best_speedup <= 1.0 {
-        return Err(format!(
-            "overlap-bench: no tile count beat the partition-level schedule \
-             (best {best_speedup:.3}x) — the overlap floor is broken"
-        ));
-    }
-    println!("best tile-level win: {best_speedup:.3}x on {best_config} — OK");
-
-    if !quick {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/BENCH_overlap.json");
-        let out = format!(
-            "{{\n  \"bench\": \"overlap\",\n  \
-             \"tile_counts\": [1, 2, 4, 8],\n  \
-             \"best_speedup\": {best_speedup:.4},\n  \"best_config\": \"{best_config}\",\n  \
-             \"models\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(path, out).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     match parse_args() {
         Ok((cmd, opts)) => {
@@ -1543,7 +1402,6 @@ fn main() -> ExitCode {
                 "decode-bench" => cmd_decode_bench(&opts),
                 "pack-model" => cmd_pack_model(&opts),
                 "fleet-bench" => cmd_fleet_bench(&opts),
-                "overlap-bench" => cmd_overlap_bench(&opts),
                 "help" | "--help" | "-h" => {
                     print!("{USAGE}");
                     Ok(())

@@ -113,19 +113,15 @@ fn default_plan_bytes_are_golden() {
     use lancet_repro::models::build_forward;
 
     let cfg = benchmark_cfg(GateKind::Switch);
-    let lancet = Lancet::new(
-        ClusterSpec::v100(2),
-        cfg.gpus,
-        LancetOptions { tile: None, ..Default::default() },
-    );
+    let lancet = Lancet::new(ClusterSpec::v100(2), cfg.gpus, LancetOptions::default());
     let fwd = build_forward(&cfg).unwrap().graph;
     let out = lancet.optimize(fwd).unwrap();
     let hash = fnv1a(&lancet_repro::ir::to_text(&out.graph));
     // The partition-level training plan for the benchmark config, byte
-    // for byte. This is the compatibility surface the tile scheduler (and
-    // every future pass) must not move by default: serving plan caches
-    // and decode snapshots key on stable tensor ids. If a change to the
-    // optimizer is *intentional*, re-run this test with `--nocapture`,
+    // for byte. This is the compatibility surface every future pass must
+    // not move by default: serving plan caches and decode snapshots key
+    // on stable tensor ids. If a change to the optimizer is
+    // *intentional*, re-run this test with `--nocapture`,
     // confirm the printed hash is identical across two separate runs, and
     // update the constant together with a CHANGELOG note.
     println!("GOLDEN {hash:#018x}");
