@@ -17,6 +17,7 @@
 //!   bit-identity checks and a conservative speedup floor still apply.
 
 use criterion::Criterion;
+use lancet_bench::Json;
 use lancet_tensor::gemm;
 use lancet_tensor::pool::default_workers;
 use lancet_tensor::{PackedTensor, TensorRng};
@@ -209,36 +210,35 @@ fn main() {
     }
 }
 
-/// Hand-rolled JSON (no serde in the sandbox), matching the repo's other
-/// machine-readable artifacts.
 fn write_artifact(path: &str, c: &Criterion, speedups: &[(&str, f64)]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"kernels\",\n");
-    out.push_str(&format!(
-        "  \"shapes\": {{\"matmul\": [{TOKENS}, {HIDDEN}, {FFN}], \"step\": [{STEP_TOKENS}, {HIDDEN}, {FFN}], \"batched\": [{EXPERTS}, {CAPACITY}, {HIDDEN}, {FFN}]}},\n"
-    ));
-    out.push_str(&format!("  \"workers_auto\": {},\n", default_workers()));
-    out.push_str(&format!(
-        "  \"avx2\": {},\n",
-        std::arch::is_x86_feature_detected!("avx2")
-    ));
-    out.push_str("  \"results\": [\n");
-    let rows: Vec<String> = c
-        .summaries()
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}}}",
-                s.name, s.mean_ns, s.min_ns, s.samples
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"speedups_min_over_min\": {\n");
-    let sp: Vec<String> =
-        speedups.iter().map(|(k, v)| format!("    \"{k}\": {v:.2}")).collect();
-    out.push_str(&sp.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    std::fs::write(path, out).expect("write BENCH_kernels.json");
+    let dims = |d: &[usize]| Json::arr(d.iter().map(|&v| v.into()));
+    let rows = c.summaries().iter().map(|s| {
+        Json::obj([
+            ("name", s.name.as_str().into()),
+            ("mean_ns", Json::fixed(s.mean_ns, 1)),
+            ("min_ns", Json::fixed(s.min_ns, 1)),
+            ("samples", s.samples.into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "kernels".into()),
+        (
+            "shapes",
+            Json::obj([
+                ("matmul", dims(&[TOKENS, HIDDEN, FFN])),
+                ("step", dims(&[STEP_TOKENS, HIDDEN, FFN])),
+                ("batched", dims(&[EXPERTS, CAPACITY, HIDDEN, FFN])),
+            ]),
+        ),
+        ("workers_auto", default_workers().into()),
+        ("avx2", std::arch::is_x86_feature_detected!("avx2").into()),
+        ("results", Json::arr(rows)),
+        // One speedup per line: verify.sh greps `prepacked_vs_repack_step`.
+        (
+            "speedups_min_over_min",
+            Json::obj(speedups.iter().map(|&(k, v)| (k, Json::fixed(v, 2)))).expanded(),
+        ),
+    ])
+    .save(path)
+    .expect("write BENCH_kernels.json");
 }

@@ -22,6 +22,7 @@
 use std::time::Duration;
 
 use criterion::Criterion;
+use lancet_bench::Json;
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_core::{Lancet, LancetOptions};
 use lancet_ir::GateKind;
@@ -37,7 +38,8 @@ const MIN_SPEEDUP: f64 = 5.0;
 /// Requests per steady-state burst (one criterion iteration).
 const BURST: usize = 12;
 
-/// Serving-scaled GPT2-S-MoE (matches the `lancet serve-bench` CLI).
+/// Serving-scaled GPT2-S-MoE: the paper model's hidden/FFN/head geometry
+/// with serving-sized sequence, vocabulary and depth.
 fn serving_scaled_gpt2s(quick: bool) -> GptMoeConfig {
     let cfg = GptMoeConfig::gpt2_s_moe(1, GateKind::Switch);
     if quick {
@@ -159,56 +161,71 @@ fn main() {
     );
 
     if !quick {
+        let rows = c.summaries().iter().map(|s| {
+            Json::obj([
+                ("name", s.name.as_str().into()),
+                ("mean_ns", Json::fixed(s.mean_ns, 1)),
+                ("min_ns", Json::fixed(s.min_ns, 1)),
+                ("samples", s.samples.into()),
+            ])
+        });
+        let artifact = Json::obj([
+            ("bench", "serve".into()),
+            (
+                "model",
+                Json::obj([
+                    ("name", cfg.name.as_str().into()),
+                    ("layers", cfg.layers.into()),
+                    ("hidden", cfg.hidden.into()),
+                    ("seq", cfg.seq.into()),
+                    ("vocab", cfg.vocab.into()),
+                    ("experts", cfg.experts().into()),
+                ]),
+            ),
+            (
+                "serve_config",
+                Json::obj([
+                    ("max_batch", config.max_batch.into()),
+                    ("batch_window_ms", (config.batch_window.as_millis() as u64).into()),
+                    ("burst", BURST.into()),
+                ]),
+            ),
+            ("results", Json::arr(rows)),
+            (
+                "per_request_ms",
+                Json::obj([
+                    ("cold", Json::fixed(cold_ns / 1e6, 2)),
+                    ("steady", Json::fixed(steady_ns / 1e6, 2)),
+                    ("speedup", Json::fixed(speedup, 2)),
+                ]),
+            ),
+            (
+                "replay",
+                Json::obj([
+                    ("requests", trace_len.into()),
+                    ("rate_hz", Json::fixed(rate_hz, 0)),
+                    ("ok", replay.ok.into()),
+                    ("shed", replay.shed.into()),
+                    ("rejected", replay.rejected.into()),
+                    ("lost", replay.lost(trace_len).into()),
+                    ("p50_ms", Json::fixed(stats.p50_ms, 1)),
+                    ("p95_ms", Json::fixed(stats.p95_ms, 1)),
+                    ("p99_ms", Json::fixed(stats.p99_ms, 1)),
+                    ("mean_batch", Json::fixed(stats.mean_batch, 2)),
+                ]),
+            ),
+            (
+                "plan_cache",
+                Json::obj([
+                    ("hits", stats.cache.hits.into()),
+                    ("misses", stats.cache.misses.into()),
+                    ("evictions", stats.cache.evictions.into()),
+                    ("hit_rate", Json::fixed(stats.cache_hit_rate(), 2)),
+                ]),
+            ),
+        ]);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_serve.json");
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"serve\",\n");
-        out.push_str(&format!(
-            "  \"model\": {{\"name\": \"{}\", \"layers\": {}, \"hidden\": {}, \"seq\": {}, \"vocab\": {}, \"experts\": {}}},\n",
-            cfg.name, cfg.layers, cfg.hidden, cfg.seq, cfg.vocab, cfg.experts()
-        ));
-        out.push_str(&format!(
-            "  \"serve_config\": {{\"max_batch\": {}, \"batch_window_ms\": {}, \"burst\": {BURST}}},\n",
-            config.max_batch,
-            config.batch_window.as_secs_f64() * 1e3
-        ));
-        out.push_str("  \"results\": [\n");
-        let rows: Vec<String> = c
-            .summaries()
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}}}",
-                    s.name, s.mean_ns, s.min_ns, s.samples
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"per_request_ms\": {{\"cold\": {:.2}, \"steady\": {:.2}, \"speedup\": {speedup:.2}}},\n",
-            cold_ns / 1e6,
-            steady_ns / 1e6
-        ));
-        out.push_str(&format!(
-            "  \"replay\": {{\"requests\": {trace_len}, \"rate_hz\": {rate_hz}, \"ok\": {}, \"shed\": {}, \"rejected\": {}, \"lost\": {}, \"p50_ms\": {:.1}, \"p95_ms\": {:.1}, \"p99_ms\": {:.1}, \"mean_batch\": {:.2}}},\n",
-            replay.ok,
-            replay.shed,
-            replay.rejected,
-            replay.lost(trace_len),
-            stats.p50_ms,
-            stats.p95_ms,
-            stats.p99_ms,
-            stats.mean_batch
-        ));
-        out.push_str(&format!(
-            "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.2}}}\n",
-            stats.cache.hits,
-            stats.cache.misses,
-            stats.cache.evictions,
-            stats.cache_hit_rate()
-        ));
-        out.push_str("}\n");
-        std::fs::write(path, out).expect("write BENCH_serve.json");
+        artifact.save(path).expect("write BENCH_serve.json");
         println!("\nwrote {path}");
     }
 }

@@ -14,7 +14,7 @@
 pub mod figs;
 mod record;
 
-pub use record::{save_json, Record};
+pub use record::{save_json, Json, Record};
 
 use lancet_cost::ClusterKind;
 use lancet_ir::GateKind;

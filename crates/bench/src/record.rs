@@ -1,9 +1,9 @@
-//! Machine-readable experiment records.
+//! Machine-readable experiment records and the JSON writer behind every
+//! `results/BENCH_*.json` artifact and figure record.
 //!
-//! Records serialize to JSON with a small hand-rolled writer/parser (the
-//! build sandbox cannot fetch serde); the flat, scalar-only shape of
-//! [`Record`] keeps that trivial and the on-disk format identical to the
-//! previous serde output.
+//! The workspace is hermetic (no serde), so [`Json`] is a small ordered
+//! value builder: figure records render one field per line, bench
+//! artifacts one row per line.
 
 use std::path::Path;
 
@@ -75,75 +75,25 @@ impl Record {
         self
     }
 
-    /// Serializes the record as a pretty-printed JSON object, indented by
-    /// `indent` spaces.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut fields: Vec<String> = Vec::new();
-        let push_str = |name: &str, v: &str, fields: &mut Vec<String>| {
-            fields.push(format!("{inner}\"{name}\": \"{}\"", escape_json(v)));
-        };
-        push_str("figure", &self.figure, &mut fields);
-        push_str("model", &self.model, &mut fields);
-        push_str("cluster", &self.cluster, &mut fields);
-        fields.push(format!("{inner}\"gpus\": {}", self.gpus));
-        push_str("system", &self.system, &mut fields);
-        push_str("gate", &self.gate, &mut fields);
-        let opt_f64 = |v: Option<f64>| v.map_or("null".to_string(), fmt_f64);
-        fields.push(format!("{inner}\"iteration_ms\": {}", opt_f64(self.iteration_ms)));
-        fields.push(format!("{inner}\"exposed_comm_ms\": {}", opt_f64(self.exposed_comm_ms)));
-        fields.push(format!("{inner}\"exposed_compute_ms\": {}", opt_f64(self.exposed_compute_ms)));
-        fields.push(format!("{inner}\"overlapped_ms\": {}", opt_f64(self.overlapped_ms)));
-        fields.push(format!("{inner}\"predicted_ms\": {}", opt_f64(self.predicted_ms)));
-        fields.push(format!("{inner}\"opt_time_s\": {}", opt_f64(self.opt_time_s)));
-        fields.push(format!(
-            "{inner}\"tutel_degree\": {}",
-            self.tutel_degree.map_or("null".to_string(), |d| d.to_string())
-        ));
-        fields.push(format!("{inner}\"extra\": {}", opt_f64(self.extra)));
-        format!("{pad}{{\n{}\n{pad}}}", fields.join(",\n"))
-    }
-
-    /// Parses a record from the JSON produced by [`Record::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    pub fn from_json(json: &str) -> Result<Record, String> {
-        let obj = parse_flat_object(json)?;
-        let get_str = |name: &str| -> Result<String, String> {
-            match obj.get(name) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                other => Err(format!("field {name}: expected string, got {other:?}")),
-            }
-        };
-        let get_opt_f64 = |name: &str| -> Result<Option<f64>, String> {
-            match obj.get(name) {
-                Some(JsonValue::Null) | None => Ok(None),
-                Some(JsonValue::Num(n)) => Ok(Some(*n)),
-                other => Err(format!("field {name}: expected number or null, got {other:?}")),
-            }
-        };
-        Ok(Record {
-            figure: get_str("figure")?,
-            model: get_str("model")?,
-            cluster: get_str("cluster")?,
-            gpus: match obj.get("gpus") {
-                Some(JsonValue::Num(n)) => *n as usize,
-                other => return Err(format!("field gpus: expected number, got {other:?}")),
-            },
-            system: get_str("system")?,
-            gate: get_str("gate")?,
-            iteration_ms: get_opt_f64("iteration_ms")?,
-            exposed_comm_ms: get_opt_f64("exposed_comm_ms")?,
-            exposed_compute_ms: get_opt_f64("exposed_compute_ms")?,
-            overlapped_ms: get_opt_f64("overlapped_ms")?,
-            predicted_ms: get_opt_f64("predicted_ms")?,
-            opt_time_s: get_opt_f64("opt_time_s")?,
-            tutel_degree: get_opt_f64("tutel_degree")?.map(|n| n as usize),
-            extra: get_opt_f64("extra")?,
-        })
+    /// The record as a JSON object, one field per line.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("figure", self.figure.as_str().into()),
+            ("model", self.model.as_str().into()),
+            ("cluster", self.cluster.as_str().into()),
+            ("gpus", self.gpus.into()),
+            ("system", self.system.as_str().into()),
+            ("gate", self.gate.as_str().into()),
+            ("iteration_ms", self.iteration_ms.into()),
+            ("exposed_comm_ms", self.exposed_comm_ms.into()),
+            ("exposed_compute_ms", self.exposed_compute_ms.into()),
+            ("overlapped_ms", self.overlapped_ms.into()),
+            ("predicted_ms", self.predicted_ms.into()),
+            ("opt_time_s", self.opt_time_s.into()),
+            ("tutel_degree", self.tutel_degree.into()),
+            ("extra", self.extra.into()),
+        ])
+        .expanded()
     }
 }
 
@@ -179,92 +129,153 @@ fn escape_json(s: &str) -> String {
     out
 }
 
+/// A JSON value: the one writer behind every `results/BENCH_*.json`
+/// artifact and figure record. (`results/TUNE_gemm.json` keeps its own
+/// writer in `lancet_tensor::tune`, because the runtime parses it back.)
+///
+/// Values are built only through [`Json::obj`], [`Json::arr`],
+/// [`Json::fixed`] and the `From` impls, so every string is escaped and
+/// every number formatted here. Objects keep insertion order. A
+/// container is written one entry per line when it holds an object (or
+/// an array of containers) or was marked [`Json::expanded`], and on one
+/// line otherwise — so each row of an artifact stays on one greppable
+/// line.
 #[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
+pub struct Json(Node);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    /// A number, boolean or `null`, already rendered.
+    Raw(String),
+    /// A string, escaped on output.
     Str(String),
-    Num(f64),
-    Null,
+    Arr(Vec<Json>),
+    /// An object; `expand` forces one field per line.
+    Obj { fields: Vec<(String, Json)>, expand: bool },
 }
 
-/// Parses a flat JSON object of string / number / null fields (the only
-/// shape [`Record::to_json`] emits).
-fn parse_flat_object(json: &str) -> Result<std::collections::HashMap<String, JsonValue>, String> {
-    let mut map = std::collections::HashMap::new();
-    let body_start = json.find('{').ok_or("no object start")?;
-    let body_end = json.rfind('}').ok_or("no object end")?;
-    if body_end < body_start {
-        return Err("mismatched braces".into());
+impl Json {
+    /// An object with `fields` in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        Json(Node::Obj { fields, expand: false })
     }
-    let body = &json[body_start + 1..body_end];
-    for field in split_top_level(body) {
-        let field = field.trim();
-        if field.is_empty() {
-            continue;
-        }
-        let colon = field.find(':').ok_or_else(|| format!("no colon in {field:?}"))?;
-        let name = field[..colon].trim().trim_matches('"').to_string();
-        let raw = field[colon + 1..].trim();
-        let value = if raw == "null" {
-            JsonValue::Null
-        } else if let Some(stripped) = raw.strip_prefix('"') {
-            let inner = stripped.strip_suffix('"').ok_or_else(|| format!("unterminated string {raw:?}"))?;
-            JsonValue::Str(unescape_json(inner))
-        } else {
-            JsonValue::Num(raw.parse::<f64>().map_err(|e| format!("bad number {raw:?}: {e}"))?)
-        };
-        map.insert(name, value);
-    }
-    Ok(map)
-}
 
-/// Splits an object body at commas that are not inside strings.
-fn split_top_level(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
+    /// An array of `items`.
+    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
+        Json(Node::Arr(items.into_iter().collect()))
+    }
+
+    /// `v` with exactly `decimals` fractional digits (`null` if not finite).
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        Json(Node::Raw(if v.is_finite() { format!("{v:.decimals$}") } else { "null".into() }))
+    }
+
+    /// This object, written one field per line.
+    pub fn expanded(self) -> Json {
+        match self.0 {
+            Node::Obj { fields, .. } => Json(Node::Obj { fields, expand: true }),
+            other => Json(other),
         }
-        match c {
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                parts.push(&body[start..i]);
-                start = i + 1;
+    }
+
+    /// The value as JSON text (no trailing newline).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    /// Writes the rendered value plus a newline to `path`, creating parent
+    /// directories.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors.
+    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        let path = path.as_ref();
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, self.render() + "\n")
+    }
+
+    fn is_scalar(&self) -> bool {
+        matches!(self.0, Node::Raw(_) | Node::Str(_))
+    }
+
+    /// Scalars and arrays of scalars stay inline inside their parent.
+    fn is_flat(&self) -> bool {
+        match &self.0 {
+            Node::Raw(_) | Node::Str(_) => true,
+            Node::Arr(items) => items.iter().all(Json::is_scalar),
+            Node::Obj { .. } => false,
+        }
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let (open, close, entries, expand): (_, _, Vec<(Option<&str>, &Json)>, _) = match &self.0 {
+            Node::Raw(s) => return out.push_str(s),
+            Node::Str(s) => return out.push_str(&format!("\"{}\"", escape_json(s))),
+            Node::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect(), false),
+            Node::Obj { fields, expand } => {
+                ('{', '}', fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(), *expand)
             }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
+        };
+        let expand = expand || entries.iter().any(|(_, v)| !v.is_flat());
+        let pad = " ".repeat(indent + 2);
+        out.push(open);
+        for (i, (key, value)) in entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+                if !expand {
+                    out.push(' ');
                 }
             }
-            Some(other) => out.push(other),
-            None => {}
+            if expand {
+                out.push('\n');
+                out.push_str(&pad);
+            }
+            if let Some(key) = key {
+                out.push_str(&format!("\"{}\": ", escape_json(key)));
+            }
+            value.write(out, indent + 2);
         }
+        if expand && !entries.is_empty() {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent));
+        }
+        out.push(close);
     }
-    out
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json(Node::Raw(fmt_f64(v)))
+    }
+}
+
+macro_rules! json_from_display {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json(Node::Raw(v.to_string()))
+            }
+        }
+    )*};
+}
+json_from_display!(bool, usize, u64);
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json(Node::Str(v.to_string()))
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json(Node::Raw("null".into())), Into::into)
+    }
 }
 
 /// Writes records as pretty JSON, creating parent directories.
@@ -273,13 +284,7 @@ fn unescape_json(s: &str) -> String {
 ///
 /// Returns I/O errors.
 pub fn save_json(path: impl AsRef<Path>, records: &[Record]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let body: Vec<String> = records.iter().map(|r| r.to_json(2)).collect();
-    let json = format!("[\n{}\n]", body.join(",\n"));
-    std::fs::write(path, json)
+    Json::arr(records.iter().map(Record::to_json)).save(path)
 }
 
 #[cfg(test)]
@@ -287,33 +292,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_roundtrips_through_json() {
-        let mut r = Record::new("fig11");
-        r.model = "GPT2-S-MoE".into();
-        r.iteration_ms = Some(123.4);
-        r.gpus = 32;
-        r.tutel_degree = Some(2);
-        let json = r.to_json(0);
-        let back = Record::from_json(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn awkward_floats_roundtrip() {
-        let mut r = Record::new("fig15");
-        r.opt_time_s = Some(0.123456789012345);
-        r.extra = Some(1e-9);
-        r.predicted_ms = Some(3.0);
-        let back = Record::from_json(&r.to_json(0)).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn strings_escape_and_roundtrip() {
+    fn record_renders_one_field_per_line() {
         let mut r = Record::new("fig\"quoted\"");
         r.model = "line\nbreak\\slash".into();
-        let back = Record::from_json(&r.to_json(0)).unwrap();
-        assert_eq!(back, r);
+        r.cluster = "tab\there".into();
+        r.gpus = 32;
+        r.iteration_ms = Some(123.4);
+        r.exposed_compute_ms = Some(f64::NAN);
+        r.predicted_ms = Some(3.0);
+        r.opt_time_s = Some(0.123456789012345);
+        r.tutel_degree = Some(2);
+        r.extra = Some(1e-9);
+        let want = r#"{
+  "figure": "fig\"quoted\"",
+  "model": "line\nbreak\\slash",
+  "cluster": "tab\there",
+  "gpus": 32,
+  "system": "",
+  "gate": "",
+  "iteration_ms": 123.4,
+  "exposed_comm_ms": null,
+  "exposed_compute_ms": null,
+  "overlapped_ms": null,
+  "predicted_ms": 3.0,
+  "opt_time_s": 0.123456789012345,
+  "tutel_degree": 2,
+  "extra": 0.000000001
+}"#;
+        assert_eq!(r.to_json().render(), want);
     }
 
     #[test]
@@ -326,6 +332,24 @@ mod tests {
         assert!(content.trim_start().starts_with('['));
         assert!(content.trim_end().ends_with(']'));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn json_layout_is_inline_unless_nested_or_expanded() {
+        let doc = Json::obj([
+            ("bench", "demo".into()),
+            ("shape", Json::obj([("dims", Json::arr([2usize.into(), 3usize.into()]))])),
+            ("rows", Json::arr([Json::obj([("ok", true.into()), ("ms", Json::fixed(1.0, 2))])])),
+            (
+                "floors",
+                Json::obj([("speedup", Json::fixed(2.654, 2)), ("nan", Json::fixed(f64::NAN, 1))])
+                    .expanded(),
+            ),
+        ]);
+        let want = "{\n  \"bench\": \"demo\",\n  \"shape\": {\"dims\": [2, 3]},\n  \"rows\": [\n    \
+                    {\"ok\": true, \"ms\": 1.00}\n  ],\n  \"floors\": {\n    \"speedup\": 2.65,\n    \
+                    \"nan\": null\n  }\n}";
+        assert_eq!(doc.render(), want);
     }
 
     #[test]

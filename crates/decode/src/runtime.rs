@@ -12,7 +12,7 @@
 //! * [`BatchMode::Windowed`] — the static baseline: a new batch is
 //!   admitted only once the previous batch has fully drained, the way a
 //!   fixed micro-batch window behaves. Same kernels, same outputs, worse
-//!   tail TTFT; `lancet decode-bench` measures the gap.
+//!   tail TTFT; the `decode` bench target measures the gap.
 //!
 //! Either way the **tokens are identical**: batching only changes *when*
 //! a sequence is stepped, and every kernel row is independent of its
@@ -253,6 +253,13 @@ impl DecodeRuntime {
     /// count (drop-free routing — the batched-equals-solo precondition),
     /// initializes canonical weights, and builds the eager decode engine
     /// plus a partition-disabled optimizer for prefill plans.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] for a model decode cannot serve or a
+    /// name that is already registered (running sequences keep the entry
+    /// they were admitted with, so a silent replace would split them from
+    /// new submissions).
     pub fn register_model(&self, cfg: GptMoeConfig) -> Result<()> {
         let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
         let canonical = canonical_weights(&normalized, self.shared.seed)?;
@@ -290,8 +297,15 @@ impl DecodeRuntime {
             normalized.gpus,
             LancetOptions::decode_serving(),
         );
+        let mut models = self.shared.models.lock().unwrap();
+        if models.contains_key(&normalized.name) {
+            return Err(ServeError::BadRequest(format!(
+                "model `{}` is already registered",
+                normalized.name
+            )));
+        }
         let entry = Arc::new(ModelEntry { cfg: normalized.clone(), model, lancet, canonical });
-        self.shared.models.lock().unwrap().insert(normalized.name.clone(), entry);
+        models.insert(normalized.name.clone(), entry);
         Ok(())
     }
 
@@ -328,7 +342,6 @@ impl DecodeRuntime {
                 entry.cfg.vocab
             )));
         }
-        self.shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let (handle, ticket) = stream_channel();
         {
             let mut q = self.shared.queue.lock().unwrap();
@@ -343,6 +356,8 @@ impl DecodeRuntime {
                 handle,
                 submitted: Instant::now(),
             });
+            // Counted only once queued: `submitted` means accepted.
+            self.shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         }
         self.shared.cv.notify_all();
         Ok(ticket)

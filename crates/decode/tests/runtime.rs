@@ -12,7 +12,7 @@ use lancet_decode::{
 };
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::canonical_weights;
+use lancet_serve::{canonical_weights, FaultSpec};
 
 const SEED: u64 = 0xdec0; // DecodeConfig::default().seed
 
@@ -164,6 +164,52 @@ fn submission_rejections_are_typed() {
     ));
     runtime.shutdown();
     assert!(matches!(runtime.submit(&cfg.name, &[1], 1), Err(ServeError::ShuttingDown)));
+}
+
+#[test]
+fn overload_rejections_leave_nothing_outstanding() {
+    // Every decode step sleeps, so the head sequence holds the only
+    // in-flight slot while a second request fills the one-deep queue:
+    // the third submission must be refused as overload, and a refused
+    // request was never accepted, so it must not count as outstanding.
+    let cfg = tiny();
+    let runtime = DecodeRuntime::start(DecodeConfig {
+        queue_depth: 1,
+        max_inflight: 1,
+        fault: Some(FaultSpec {
+            slow_worker: 1.0,
+            slow_delay: Duration::from_millis(300),
+            ..FaultSpec::quiet(7)
+        }),
+        ..DecodeConfig::default()
+    });
+    runtime.register_model(cfg.clone()).unwrap();
+    let head = runtime.submit(&cfg.name, &[3, 1], 3).unwrap();
+    assert!(head.next().unwrap().is_ok(), "head prefilled and running");
+    let queued = runtime.submit(&cfg.name, &[1, 5], 1).unwrap();
+    assert!(matches!(
+        runtime.submit(&cfg.name, &[2], 1),
+        Err(ServeError::Overloaded { depth: 1 })
+    ));
+    assert_eq!(head.collect().unwrap().len(), 2, "the rest of the head stream");
+    assert_eq!(queued.collect().unwrap().len(), 1);
+    runtime.shutdown();
+    let stats = runtime.stats();
+    assert_eq!(stats.rejected_overload, 1);
+    assert_eq!(stats.outstanding(), 0, "a rejected request was never accepted");
+    assert_eq!(stats.submitted, 2);
+}
+
+#[test]
+fn duplicate_registration_is_rejected() {
+    let cfg = tiny();
+    let runtime = DecodeRuntime::start(DecodeConfig::default());
+    runtime.register_model(cfg.clone()).unwrap();
+    assert!(matches!(runtime.register_model(cfg.clone()), Err(ServeError::BadRequest(_))));
+    let model = reference_model(&cfg);
+    let got = runtime.submit(&cfg.name, &[3, 1, 4], 4).unwrap().collect().unwrap();
+    assert_eq!(got, solo_tokens(&model, &[3, 1, 4], 4), "the first registration still serves");
+    runtime.shutdown();
 }
 
 #[test]

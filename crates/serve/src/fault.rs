@@ -63,10 +63,10 @@ impl FaultSpec {
         }
     }
 
-    /// The moderate everything-at-once mix `lancet chaos-bench` and the
-    /// chaos-conformance tests drive: every fault class fires with
-    /// non-trivial probability, magnitudes stay small enough that a short
-    /// trace still finishes in seconds.
+    /// The moderate everything-at-once mix the chaos-conformance tests
+    /// drive: every fault class fires with non-trivial probability,
+    /// magnitudes stay small enough that a short trace still finishes in
+    /// seconds.
     pub fn chaos(seed: u64) -> Self {
         FaultSpec {
             seed,

@@ -66,7 +66,7 @@ mod trace;
 pub use cache::{CacheStats, PlanCache};
 pub use error::{Result, ServeError};
 pub use fault::{FaultInjector, FaultSpec};
-pub use plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
+pub use plan::{canonical_weights, pack_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 pub use runtime::{ServeConfig, ServeRuntime, Ticket};
 pub use stats::{Metrics, ServeStats};
 pub use trace::{open_loop_trace, replay_open_loop, Lcg, ReplayReport, TraceRequest};

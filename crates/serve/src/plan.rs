@@ -113,6 +113,41 @@ pub fn canonical_weights(cfg: &GptMoeConfig, seed: u64) -> Result<CanonicalWeigh
     Ok(per_device)
 }
 
+/// Builds the prepacked GEMM panels for `canonical` — what a model store
+/// carries next to the weights: bind every weight, run the executor's
+/// prepack pass, and harvest the per-device panels keyed by weight name.
+///
+/// # Errors
+///
+/// Returns [`ServeError::Plan`] if the model graph cannot be built or
+/// `canonical` is missing a weight.
+pub fn pack_weights(cfg: &GptMoeConfig, canonical: &CanonicalWeights) -> Result<PackSet> {
+    let graph = build_forward(cfg)
+        .map_err(|e| ServeError::Plan(format!("model graph: {e}")))?
+        .graph;
+    let mut bindings = Bindings::new(canonical.len());
+    for id in graph.weights() {
+        let name = &graph.tensor(id).name;
+        for (d, map) in canonical.iter().enumerate() {
+            let value = map
+                .get(name)
+                .ok_or_else(|| ServeError::Plan(format!("canonical weights missing `{name}`")))?;
+            bindings.set(d, id, value.clone());
+        }
+    }
+    bindings.prepack_weights(&graph);
+    let mut packs: PackSet = vec![HashMap::new(); canonical.len()];
+    for id in graph.weights() {
+        let name = &graph.tensor(id).name;
+        for (d, map) in packs.iter_mut().enumerate() {
+            if let Some(p) = bindings.packed(d, id) {
+                map.insert(name.clone(), Arc::new(p.clone()));
+            }
+        }
+    }
+    Ok(packs)
+}
+
 /// An executable serving plan for one (model, bucket, cluster) key.
 #[derive(Debug)]
 pub struct Plan {

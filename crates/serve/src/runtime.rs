@@ -572,14 +572,6 @@ impl ServeRuntime {
         Ok(())
     }
 
-    /// Records one request's end-to-end latency (used by `serve-bench`
-    /// to attribute the full submit→response time, including the
-    /// caller-side wait the runtime can't see).
-    #[doc(hidden)]
-    pub fn record_external_latency(&self, ms: f64) {
-        self.shared.metrics.record_latency(ms);
-    }
-
     /// Stops admissions, drains both queues (every in-flight request
     /// still gets its response), and joins all runtime threads.
     /// Idempotent; also invoked by `Drop`.

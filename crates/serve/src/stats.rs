@@ -183,7 +183,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// A point-in-time view of the runtime's health — the numbers an operator
-/// watches and `serve-bench` records.
+/// watches and the serve bench records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Requests accepted into the queue.

@@ -277,7 +277,7 @@ fn drop_shuts_down() {
 
 /// Affinity dispatch: with one exec worker every batch's preferred
 /// worker IS that worker, so each completed request is a placement hit —
-/// the deterministic floor the placement-bench smoke asserts. Responses
+/// the deterministic floor the placement bench asserts. Responses
 /// stay bit-identical to a no-affinity run (affinity only picks *which*
 /// worker executes, never *what* it computes).
 #[test]

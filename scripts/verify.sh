@@ -43,33 +43,26 @@ echo "==> lancet tune-gemm --quick"
 # is the full-grid table; regenerate with: lancet tune-gemm
 ./target/release/lancet tune-gemm --quick --samples 1
 
-echo "==> lancet serve-bench --quick"
-# Seconds-bounded smoke of the serving runtime: replays a short open-loop
-# trace and fails unless the plan-cache hit rate is nonzero and every
-# admitted request got exactly one response (zero lost).
-./target/release/lancet serve-bench --quick
+echo "==> cargo bench -p lancet-bench --bench serve -- --quick"
+# Serving floor: micro-batched replies are bit-identical to solo serving,
+# steady state through the warm plan cache beats cold optimize-per-request
+# by >= 5x, and the open-loop replay hits the cache and loses no response.
+cargo bench -p lancet-bench --bench serve -- --quick
 
-echo "==> lancet chaos-bench --quick"
-# Fault-injection conformance gate: replays a seeded fault schedule
-# (LANCET_CHAOS_SEED, default 0xC4A05) through the simulator and the
-# serving runtime and fails unless reports are bit-identical across
-# replays, fault counters reproduce, and no admitted ticket is lost.
-./target/release/lancet chaos-bench --quick
-
-echo "==> lancet placement-bench --quick"
+echo "==> cargo bench -p lancet-bench --bench placement -- --quick"
 # Expert-placement win floor on a skewed (Zipf) routing histogram: the
 # optimized placement must move no more inter-node bytes than uniform,
 # beat it strictly in simulated step time, the sim replay must be
 # bit-identical, and the serving runtime's affinity dispatch must land
-# every single-worker request on its preferred worker (nonzero hits).
-./target/release/lancet placement-bench --quick
+# every single-worker request on its preferred worker.
+cargo bench -p lancet-bench --bench placement -- --quick
 
-echo "==> lancet decode-bench --quick"
+echo "==> cargo bench -p lancet-bench --bench decode -- --quick"
 # Decode-serving win floor: replays a deterministic open-loop generation
 # trace through the lancet-decode runtime under continuous and windowed
 # batching; fails unless continuous beats windowed on mean
 # time-to-first-token, every stream is gapless, and no token is lost.
-./target/release/lancet decode-bench --quick
+cargo bench -p lancet-bench --bench decode -- --quick
 
 echo "==> store round trip (pack → mmap load → bit-identical forward)"
 # The on-disk model store gate: every model-zoo variant packs to a store
@@ -77,12 +70,12 @@ echo "==> store round trip (pack → mmap load → bit-identical forward)"
 # to generated weights — raw bits and a full serving forward pass.
 cargo test -q --release --test store_roundtrip
 
-echo "==> lancet fleet-bench --quick"
+echo "==> cargo bench -p lancet-bench --bench fleet -- --quick"
 # Fleet scaling floor: a closed burst through 1→4 store-backed replicas
 # (fixed service floor emulating device time) must reach ≥ 2.5x the
 # single-replica throughput at N=4, and the chaos leg (crash the routed
 # replica with a full queue) must lose zero admitted tickets.
-./target/release/lancet fleet-bench --quick
+cargo bench -p lancet-bench --bench fleet -- --quick
 
 echo "==> golden default plan"
 # The default training plan for the benchmark config must not move byte

@@ -60,3 +60,36 @@ fn compare_ranks_systems() {
     }
     assert!(stdout.contains("speedup vs best baseline"), "{stdout}");
 }
+
+#[test]
+fn help_lists_exactly_the_four_tools() {
+    let (ok, stdout, _) = lancet(&["help"]);
+    assert!(ok);
+    let line = stdout.lines().next().expect("usage line");
+    let commands = line
+        .strip_prefix("usage: lancet <")
+        .and_then(|rest| rest.split('>').next())
+        .expect("usage line names the commands");
+    assert_eq!(commands, "optimize|compare|tune-gemm|pack-model");
+}
+
+#[test]
+fn removed_bench_subcommands_are_unknown() {
+    for cmd in ["serve-bench", "chaos-bench", "placement-bench", "decode-bench", "fleet-bench"] {
+        let (ok, _, stderr) = lancet(&[cmd, "--quick"]);
+        assert!(!ok, "{cmd} should be gone");
+        assert!(stderr.contains("unknown command"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
+fn pack_model_writes_a_store_that_opens() {
+    let path = std::env::temp_dir().join(format!("lancet-cli-pack-{}.lancet", std::process::id()));
+    let (ok, stdout, stderr) = lancet(&["pack-model", "--out", path.to_str().expect("utf-8 path")]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("wrote"), "{stdout}");
+    let stored = lancet_repro::store::open_store(&path).expect("store opens");
+    assert_eq!(stored.devices, 1);
+    assert!(!stored.weights[0].is_empty() && !stored.packs[0].is_empty());
+    let _ = std::fs::remove_file(&path);
+}

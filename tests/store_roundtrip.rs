@@ -3,16 +3,13 @@
 //! loaded replica to be bit-identical to the generated one — both the
 //! raw weight bits and a full forward pass through the serving runtime.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-use lancet_repro::exec::Bindings;
 use lancet_repro::ir::GateKind;
-use lancet_repro::models::{build_forward, GptMoeConfig};
-use lancet_repro::serve::{canonical_weights, CanonicalWeights, ServeConfig, ServeRuntime};
-use lancet_repro::store::{open_store, write_store, StoredPacks};
+use lancet_repro::models::GptMoeConfig;
+use lancet_repro::serve::{canonical_weights, pack_weights, ServeConfig, ServeRuntime};
+use lancet_repro::store::{open_store, write_store};
 
 const SEED: u64 = 0x57_0e;
 
@@ -43,31 +40,6 @@ fn zoo() -> Vec<GptMoeConfig> {
     ]
 }
 
-/// Builds the prepacked panels `write_store` serializes: the same
-/// prepack pass the executor runs, harvested per device by weight name.
-fn pack_panels(cfg: &GptMoeConfig, canonical: &CanonicalWeights) -> StoredPacks {
-    let model = build_forward(cfg).expect("model graph");
-    let graph = model.graph;
-    let mut bindings = Bindings::new(canonical.len());
-    for id in graph.weights() {
-        let def = graph.tensor(id);
-        for (d, map) in canonical.iter().enumerate() {
-            bindings.set(d, id, map[&def.name].clone());
-        }
-    }
-    bindings.prepack_weights(&graph);
-    let mut packs: StoredPacks = vec![HashMap::new(); canonical.len()];
-    for id in graph.weights() {
-        let name = &graph.tensor(id).name;
-        for (d, map) in packs.iter_mut().enumerate() {
-            if let Some(p) = bindings.packed(d, id) {
-                map.insert(name.clone(), Arc::new(p.clone()));
-            }
-        }
-    }
-    packs
-}
-
 fn store_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lancet-roundtrip-{}-{tag}.lancet", std::process::id()))
 }
@@ -89,7 +61,7 @@ fn every_zoo_variant_survives_the_store_bit_identical() {
         let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
         let seed = ServeConfig::default().seed;
         let canonical = canonical_weights(&normalized, seed).expect("canonical weights");
-        let packs = pack_panels(&normalized, &canonical);
+        let packs = pack_weights(&normalized, &canonical).expect("pack panels");
 
         let path = store_path(&cfg.name);
         write_store(&path, &normalized.name, &canonical, &packs)
@@ -133,7 +105,7 @@ fn multi_device_store_dedupes_replicated_payloads() {
     let cfg = GptMoeConfig::tiny(2, GateKind::Switch);
     let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
     let canonical = canonical_weights(&normalized, SEED).expect("canonical weights");
-    let packs = pack_panels(&normalized, &canonical);
+    let packs = pack_weights(&normalized, &canonical).expect("pack panels");
 
     let path = store_path("dedupe");
     let summary = write_store(&path, &normalized.name, &canonical, &packs).expect("write");
