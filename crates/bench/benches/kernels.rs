@@ -14,13 +14,15 @@
 //!   JSON artifact.
 //! * `cargo bench -p lancet-bench --bench kernels -- --quick` — smoke run
 //!   for `scripts/verify.sh`: fewer samples, no artifact, but the
-//!   bit-identity checks and a conservative speedup floor still apply.
+//!   bit-identity checks and the conservative speedup floors still apply.
 
-use criterion::Criterion;
+use std::time::Instant;
+
+use criterion::{Criterion, Summary};
 use lancet_bench::Json;
 use lancet_tensor::gemm;
 use lancet_tensor::pool::default_workers;
-use lancet_tensor::{PackedTensor, TensorRng};
+use lancet_tensor::{PackedTensor, Tensor, TensorRng};
 
 /// GPT2-S-MoE FFN shapes: token rows × hidden, hidden × FFN.
 const TOKENS: usize = 512;
@@ -32,6 +34,12 @@ const STEP_TOKENS: usize = 8;
 /// Expert-parallel batched shapes: experts × capacity × hidden.
 const EXPERTS: usize = 8;
 const CAPACITY: usize = 64;
+/// The expert buffer the `serve` workload multiplies: 2 experts with
+/// capacity equal to the 64 tokens of a micro-batch, so under top-1
+/// routing each expert holds about half filled rows and half the zero
+/// padding `dispatch` writes.
+const PADDED_EXPERTS: usize = 2;
+const PADDED_FILLED: usize = CAPACITY / 2;
 
 /// Speedup floor enforced in both modes; the recorded full-run number is
 /// expected to be well above this (see EXPERIMENTS.md).
@@ -42,6 +50,13 @@ const MIN_SPEEDUP: f64 = 3.0;
 /// MACs, so skipping it is a large, core-count-independent win; the floor
 /// is set conservatively for noisy CI machines.
 const MIN_PREPACK_SPEEDUP: f64 = 1.15;
+/// Floor for the all-zero row-group skip: a half-padded expert buffer must
+/// multiply at least this much faster than a dense one of the same shape
+/// (half the multiply-adds are skipped; the recorded run is well above).
+const MIN_PADDED_SPEEDUP: f64 = 1.3;
+/// Alternating samples per side for the padded-vs-dense ratio (~25 ms per
+/// dense call).
+const PADDED_SAMPLES: usize = 20;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -92,6 +107,20 @@ fn main() {
         naive_batched.data(),
         gemm::batched_matmul_packed(&xe, &packed_we, 1).unwrap().data(),
         "prepacked batched matmul not bit-identical"
+    );
+    // Capacity padding: the zero rows of each expert's buffer are skipped
+    // by the packed kernel, bit-identically.
+    let xp_dense = rng.uniform(vec![PADDED_EXPERTS, CAPACITY, HIDDEN], -1.0, 1.0);
+    let mut xp_padded = xp_dense.clone();
+    for slice in xp_padded.data_mut().chunks_mut(CAPACITY * HIDDEN) {
+        slice[PADDED_FILLED * HIDDEN..].fill(0.0);
+    }
+    let wp = rng.uniform(vec![PADDED_EXPERTS, HIDDEN, FFN], -1.0, 1.0);
+    let packed_wp = PackedTensor::pack_batched(&wp).unwrap();
+    assert_eq!(
+        gemm::batched_matmul_reference(&xp_padded, &wp).unwrap().data(),
+        gemm::batched_matmul_packed(&xp_padded, &packed_wp, 1).unwrap().data(),
+        "padded prepacked batched matmul not bit-identical"
     );
     println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto)\n");
 
@@ -149,6 +178,16 @@ fn main() {
     });
     group.finish();
 
+    // Dense vs half-padded expert buffers. The two are sampled alternately
+    // (not one after the other, as the groups above are) so a noisy phase
+    // of the host lands on both sides of the ratio the floor checks.
+    let experts = |x: &Tensor| drop(gemm::batched_matmul_packed(x, &packed_wp, 1).unwrap());
+    let padded_rows = interleaved(
+        "batched_experts_padded",
+        PADDED_SAMPLES,
+        [("dense", &mut || experts(&xp_dense)), ("padded", &mut || experts(&xp_padded))],
+    );
+
     // Chunk-parallel reduction op, for the where-does-the-time-go story.
     let scores = rng.uniform(vec![TOKENS * 12, TOKENS], -4.0, 4.0);
     c.bench_function("softmax_attention_sized", |bench| bench.iter(|| scores.softmax_last()));
@@ -167,6 +206,7 @@ fn main() {
     let prepack_batch = speedup("matmul_batch_prepack/repack", "matmul_batch_prepack/prepacked");
     let prepack_experts =
         speedup("batched_experts_prepack/repack", "batched_experts_prepack/prepacked");
+    let padded = padded_rows[0].min_ns / padded_rows[1].min_ns.max(1.0);
 
     println!();
     println!("speedup over naive (min-of-samples):");
@@ -178,6 +218,8 @@ fn main() {
     println!("  step  (m={STEP_TOKENS:<3})   {prepack_step:>7.2}x");
     println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x");
     println!("  experts (bt={EXPERTS})  {prepack_experts:>7.2}x");
+    println!("speedup of half-padded over dense expert buffers (zero-group skip):");
+    println!("  experts (bt={PADDED_EXPERTS})  {padded:>7.2}x");
     println!("  workers (auto)   {:>7}", default_workers());
 
     let best = tiled_vs_naive.max(threaded_vs_naive);
@@ -190,12 +232,16 @@ fn main() {
         "prepack regression: step-shape prepacked speedup {prepack_step:.2}x < \
          {MIN_PREPACK_SPEEDUP}x floor"
     );
+    assert!(
+        padded >= MIN_PADDED_SPEEDUP,
+        "zero-group skip regression: padded speedup {padded:.2}x < {MIN_PADDED_SPEEDUP}x floor"
+    );
 
     if !quick {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
             path,
-            &c,
+            c.summaries().iter().chain(&padded_rows),
             &[
                 ("matmul_tiled_vs_naive", tiled_vs_naive),
                 ("matmul_threaded_vs_naive", threaded_vs_naive),
@@ -204,15 +250,54 @@ fn main() {
                 ("prepacked_vs_repack_step", prepack_step),
                 ("prepacked_vs_repack_batch", prepack_batch),
                 ("prepacked_vs_repack_experts", prepack_experts),
+                ("padded_vs_dense_experts", padded),
             ],
         );
         println!("\nwrote {path}");
     }
 }
 
-fn write_artifact(path: &str, c: &Criterion, speedups: &[(&str, f64)]) {
+/// Times each named closure `samples` times, round-robin (one call of
+/// each per round, after one warmup round), and reports them as
+/// `group/name` summaries like the criterion shim's.
+fn interleaved<const N: usize>(
+    group: &str,
+    samples: usize,
+    mut fs: [(&str, &mut dyn FnMut()); N],
+) -> Vec<Summary> {
+    let mut times = [(); N].map(|_| Vec::with_capacity(samples));
+    for round in 0..=samples {
+        for ((_, f), t) in fs.iter_mut().zip(&mut times) {
+            let start = Instant::now();
+            f();
+            if round > 0 {
+                t.push(start.elapsed().as_secs_f64() * 1e9);
+            }
+        }
+    }
+    fs.iter()
+        .zip(&times)
+        .map(|((name, _), t)| {
+            let s = Summary {
+                name: format!("{group}/{name}"),
+                mean_ns: t.iter().sum::<f64>() / samples as f64,
+                min_ns: t.iter().copied().fold(f64::INFINITY, f64::min),
+                samples,
+            };
+            let (mean, min) = (s.mean_ns / 1e6, s.min_ns / 1e6);
+            println!("{:<44} mean {mean:>10.3} ms   min {min:>10.3} ms", s.name);
+            s
+        })
+        .collect()
+}
+
+fn write_artifact<'a>(
+    path: &str,
+    summaries: impl Iterator<Item = &'a Summary>,
+    speedups: &[(&str, f64)],
+) {
     let dims = |d: &[usize]| Json::arr(d.iter().map(|&v| v.into()));
-    let rows = c.summaries().iter().map(|s| {
+    let rows = summaries.map(|s| {
         Json::obj([
             ("name", s.name.as_str().into()),
             ("mean_ns", Json::fixed(s.mean_ns, 1)),
@@ -228,6 +313,7 @@ fn write_artifact(path: &str, c: &Criterion, speedups: &[(&str, f64)]) {
                 ("matmul", dims(&[TOKENS, HIDDEN, FFN])),
                 ("step", dims(&[STEP_TOKENS, HIDDEN, FFN])),
                 ("batched", dims(&[EXPERTS, CAPACITY, HIDDEN, FFN])),
+                ("padded", dims(&[PADDED_EXPERTS, CAPACITY, HIDDEN, FFN])),
             ]),
         ),
         ("workers_auto", default_workers().into()),

@@ -578,11 +578,10 @@ impl ServeRuntime {
     pub fn shutdown(&self) {
         let threads = self.threads.lock().expect("threads lock").take();
         let Some(threads) = threads else { return };
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.admitted.notify_all();
+        let shared = &self.shared;
+        set_flags(&[&shared.shutting_down], &shared.admission, &[&shared.admitted]);
         threads.batcher.join().expect("batcher panicked");
-        self.shared.batcher_done.store(true, Ordering::Release);
-        self.shared.exec_not_empty.notify_all();
+        set_flags(&[&shared.batcher_done], &shared.exec, &[&shared.exec_not_empty]);
         for worker in threads.workers {
             worker.join().expect("exec worker panicked");
         }
@@ -604,15 +603,16 @@ impl ServeRuntime {
     pub fn crash(&self) {
         let threads = self.threads.lock().expect("threads lock").take();
         let shared = &self.shared;
-        shared.crashed.store(true, Ordering::Release);
-        shared.shutting_down.store(true, Ordering::Release);
-        shared.admitted.notify_all();
-        shared.exec_not_full.notify_all();
-        shared.exec_not_empty.notify_all();
+        // The batcher checks `crashed` under the admission lock; the
+        // workers and a batcher blocked in `push_batch` check it under the
+        // exec lock. Passing through both locks means none of them can
+        // miss it between its check and its wait.
+        let (crashed, draining) = (&shared.crashed, &shared.shutting_down);
+        set_flags(&[crashed, draining], &shared.admission, &[&shared.admitted]);
+        set_flags(&[crashed], &shared.exec, &[&shared.exec_not_full, &shared.exec_not_empty]);
         if let Some(threads) = threads {
             threads.batcher.join().expect("batcher panicked");
-            shared.batcher_done.store(true, Ordering::Release);
-            shared.exec_not_empty.notify_all();
+            set_flags(&[&shared.batcher_done], &shared.exec, &[&shared.exec_not_empty]);
             for worker in threads.workers {
                 worker.join().expect("exec worker panicked");
             }
@@ -634,6 +634,23 @@ impl ServeRuntime {
             )
             .collect();
         deliver_crashed(shared, queued);
+    }
+}
+
+/// Sets `flags` while holding `lock` — the mutex their waiters check them
+/// under — then wakes every waiter on `wake`. A waiter holds `lock` from
+/// its check to its `wait`, so it either sees the flags set or is already
+/// waiting when the notify comes: setting them outside the lock could
+/// land between its check and its `wait` and lose the wakeup for good.
+fn set_flags<T>(flags: &[&AtomicBool], lock: &Mutex<T>, wake: &[&Condvar]) {
+    {
+        let _guard = lock.lock().expect("runtime lock");
+        for flag in flags {
+            flag.store(true, Ordering::Release);
+        }
+    }
+    for cv in wake {
+        cv.notify_all();
     }
 }
 

@@ -275,6 +275,35 @@ fn drop_shuts_down() {
     drop(runtime); // Drop must join the batcher and workers without hanging.
 }
 
+/// Regression for a lost wakeup: `shutdown` and `crash` once stored their
+/// flags without holding the mutex the batcher and workers check them
+/// under, so a thread could read the flag as unset, miss the notify, and
+/// wait forever — the same start → shutdown loop hung a few runs in a
+/// hundred. Thousands of cycles run on a helper thread, and the test fails
+/// if they do not finish within a bound far above their normal time.
+#[test]
+fn start_shutdown_and_crash_cycles_never_hang() {
+    const CYCLES: usize = 2_000;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for i in 0..2 * CYCLES {
+            let runtime = ServeRuntime::start(ServeConfig {
+                exec_workers: 1 + i % 2,
+                ..ServeConfig::default()
+            });
+            if i % 2 == 0 {
+                runtime.shutdown();
+            } else {
+                runtime.crash();
+            }
+        }
+        done.send(()).expect("test thread waits");
+    });
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a start → shutdown/crash cycle hung (lost wakeup)");
+}
+
 /// Affinity dispatch: with one exec worker every batch's preferred
 /// worker IS that worker, so each completed request is a placement hit —
 /// the deterministic floor the placement bench asserts. Responses

@@ -44,9 +44,24 @@
 //! enforced by `tests/backend_props.rs` and relied on by the fig05
 //! equivalence harness.
 //!
-//! Unlike the seed kernel, no `a == 0.0` short-circuit is applied: skipping
-//! a zero multiplicand silently dropped `0 · ∞` and `0 · NaN`
-//! contributions, diverging from IEEE semantics on non-finite inputs.
+//! The packed kernels skip one kind of arithmetic whose result is known
+//! exactly: an `MR`-row group of packed `A` that is all `== 0.0` (either
+//! sign; NaN is not zero) within a `kc` block, multiplied against a `B`
+//! slice whose values are all finite. Every entry point's `out` starts at
+//! `+0`, and a `k`-ascending round-to-nearest sum that starts at `+0` can
+//! never become `-0` (`x + y` is `-0` only when both are `-0`). With
+//! finite `b`, each skipped product `±0 · b` is `±0`, and adding `±0` to
+//! any value other than `-0` returns it unchanged — so the skip writes the
+//! same bits as the reference. This is what keeps MoE capacity padding
+//! (the zero rows `dispatch` writes into `(E, C, H)` expert buffers) from
+//! costing multiply-adds. A non-finite `B` slice disables the skip, so
+//! `0 · ∞` and `0 · NaN` still propagate as NaN per IEEE 754 — the seed
+//! kernel's per-element `a == 0.0` short-circuit dropped them. Finiteness
+//! is computed once per `B` slice inside the packing copy (`pack_b`) and
+//! cached on [`PackedTensor`](crate::PackedTensor), never rescanned per
+//! call.
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::pack::PackedTensor;
 use crate::pool::{self, SharedSliceMut};
@@ -231,8 +246,8 @@ fn matmul_tiled_spec(
     let (m, k, n) = matmul_dims(a, b, ta, tb)?;
     let mut out = vec![0.0f32; m * n];
     let w = pool::resolve_workers(workers);
-    let bpack = pack_b(spec, k, n, b.data(), b.shape()[1], tb, w);
-    gemm_packed(spec, m, k, n, a.data(), a.shape()[1], ta, &bpack, &mut out, w);
+    let (bpack, finite) = pack_b(spec, 1, k, n, b.data(), b.shape()[1], tb, w);
+    gemm_packed(spec, m, k, n, a.data(), a.shape()[1], ta, &bpack, finite[0], &mut out, w);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -265,7 +280,7 @@ pub fn matmul_packed(a: &Tensor, b: &PackedTensor, ta: bool, workers: usize) -> 
     let n = b.n();
     let mut out = vec![0.0f32; m * n];
     let w = pool::resolve_workers(workers);
-    gemm_packed(b.spec(), m, k, n, a.data(), ac, ta, b.panels(0), &mut out, w);
+    gemm_packed(b.spec(), m, k, n, a.data(), ac, ta, b.panels(0), b.finite()[0], &mut out, w);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -315,8 +330,8 @@ pub fn batched_matmul_tiled(a: &Tensor, b: &Tensor, workers: usize) -> Result<Te
     let spec = crate::tune::spec_for(m, k, n);
     let mut out = vec![0.0f32; bt * m * n];
     let w = pool::resolve_workers(workers);
-    let bpack = pack_b_batched(spec, bt, k, n, b.data(), w);
-    batched_gemm_packed(spec, bt, m, k, n, a.data(), &bpack, false, &mut out, w);
+    let (bpack, finite) = pack_b(spec, bt, k, n, b.data(), n, false, w);
+    batched_gemm_packed(spec, bt, m, k, n, a.data(), &bpack, &finite, &mut out, w);
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
@@ -352,7 +367,7 @@ pub fn batched_matmul_packed(a: &Tensor, b: &PackedTensor, workers: usize) -> Re
     let n = b.n();
     let mut out = vec![0.0f32; bt * m * n];
     let w = pool::resolve_workers(workers);
-    batched_gemm_packed(b.spec(), bt, m, k, n, a.data(), b.buf(), b.batch() == 1, &mut out, w);
+    batched_gemm_packed(b.spec(), bt, m, k, n, a.data(), b.buf(), b.finite(), &mut out, w);
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
@@ -396,10 +411,29 @@ fn panel_dims(
     (p0, j0, spec.kc.min(k - p0), spec.nc.min(n - j0))
 }
 
+/// Flags, lane by lane, whether `row` (at most `NR` values) holds a
+/// non-finite value: `∞` and NaN are exactly the values whose magnitude
+/// bits are at least `0x7f80_0000`. Lane-wise flags need no reduction per
+/// row, so the check vectorizes into the packing copy at almost no cost.
+#[inline(always)]
+fn flag_non_finite(bad: &mut [u32; NR], row: &[f32]) {
+    for (flag, x) in bad.iter_mut().zip(row) {
+        *flag |= u32::from((x.to_bits() & 0x7fff_ffff) as i32 >= 0x7f80_0000);
+    }
+}
+
+/// Whether every value of `xs` is finite.
+pub(crate) fn all_finite(xs: &[f32]) -> bool {
+    let mut bad = [0; NR];
+    xs.chunks(NR).for_each(|row| flag_non_finite(&mut bad, row));
+    bad == [0; NR]
+}
+
 /// Fills `dst` (length `kcb * ncb`) with panel `panel` of `B`, resolving a
-/// virtual transpose. Within a panel, columns are grouped into `NR`-wide
-/// strips; strip `s` starts at `s * kcb * NR`, is `pp`-major and
-/// contiguous, so the micro-kernel streams `B` linearly while sweeping `k`.
+/// virtual transpose, and returns whether every copied value is finite.
+/// Within a panel, columns are grouped into `NR`-wide strips; strip `s`
+/// starts at `s * kcb * NR`, is `pp`-major and contiguous, so the
+/// micro-kernel streams `B` linearly while sweeping `k`.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn pack_panel(
     spec: BlockSpec,
@@ -411,8 +445,9 @@ fn pack_panel(
     panel: usize,
     num_nc: usize,
     dst: &mut [f32],
-) {
+) -> bool {
     let (p0, j0, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
+    let mut bad = [0; NR];
     for (s, strip) in dst[..kcb * ncb].chunks_mut(kcb * NR).enumerate() {
         let c0 = s * NR;
         let w = NR.min(ncb - c0);
@@ -426,54 +461,36 @@ fn pack_panel(
                 let src = (p0 + pp) * bc + j0 + c0;
                 row.copy_from_slice(&b[src..src + w]);
             }
+            flag_non_finite(&mut bad, row);
         }
     }
+    bad == [0; NR]
 }
 
-/// Packs `B` (resolving a virtual transpose) into `kc × nc` panels laid
-/// out panel-major: panel `(kci, nci)` starts at `(kci * num_nc + nci) *
-/// kc * nc`. Panels pack in parallel over the shared pool.
+/// Packs the `bt` contiguous `K × N` slices of `B` (stored stride `bc`,
+/// resolving a virtual transpose) into panel layout, parallelizing over
+/// the full `(slice, panel)` grid. Slice `bi` starts at `bi *
+/// packed_len(spec, k, n)`; within it, panel `(kci, nci)` starts at `(kci
+/// * num_nc + nci) * kc * nc`. Also returns, per slice, whether every
+/// value is finite — the condition for the zero-group skip (module docs).
+/// Backs the per-call packing of the tiled paths and
+/// [`PackedTensor`](crate::PackedTensor)'s constructors.
+#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 pub(crate) fn pack_b(
     spec: BlockSpec,
+    bt: usize,
     k: usize,
     n: usize,
     b: &[f32],
     bc: usize,
     tb: bool,
     workers: usize,
-) -> Vec<f32> {
-    let num_nc = n.div_ceil(spec.nc);
-    let panels = k.div_ceil(spec.kc) * num_nc;
-    let mut pack = vec![0.0f32; panels * spec.kc * spec.nc];
-    let view = SharedSliceMut::new(&mut pack);
-    pool::par_ranges(panels, workers, |range| {
-        for panel in range {
-            let (_, _, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
-            let base = panel * spec.kc * spec.nc;
-            // SAFETY: panel ranges are disjoint across tasks.
-            let dst = unsafe { view.range_mut(base..base + kcb * ncb) };
-            pack_panel(spec, k, n, b, bc, tb, panel, num_nc, dst);
-        }
-    });
-    pack
-}
-
-/// Packs every slice of a contiguous `(B, K, N)` operand into panel
-/// layout, parallelizing over the full `(slice, panel)` grid — the fix for
-/// the old per-expert `workers: 1` packing, and the builder behind
-/// [`PackedTensor::pack_batched`](crate::PackedTensor::pack_batched).
-pub(crate) fn pack_b_batched(
-    spec: BlockSpec,
-    bt: usize,
-    k: usize,
-    n: usize,
-    b: &[f32],
-    workers: usize,
-) -> Vec<f32> {
+) -> (Vec<f32>, Vec<bool>) {
     let num_nc = n.div_ceil(spec.nc);
     let per = k.div_ceil(spec.kc) * num_nc;
     let plen = packed_len(spec, k, n);
     let mut pack = vec![0.0f32; bt * plen];
+    let nonfinite: Vec<AtomicBool> = (0..bt).map(|_| AtomicBool::new(false)).collect();
     let view = SharedSliceMut::new(&mut pack);
     pool::par_ranges(bt * per, workers, |units| {
         for u in units {
@@ -482,10 +499,13 @@ pub(crate) fn pack_b_batched(
             let base = bi * plen + panel * spec.kc * spec.nc;
             // SAFETY: (slice, panel) ranges are disjoint across tasks.
             let dst = unsafe { view.range_mut(base..base + kcb * ncb) };
-            pack_panel(spec, k, n, &b[bi * k * n..(bi + 1) * k * n], n, false, panel, num_nc, dst);
+            let src = &b[bi * k * n..(bi + 1) * k * n];
+            if !pack_panel(spec, k, n, src, bc, tb, panel, num_nc, dst) {
+                nonfinite[bi].store(true, Ordering::Relaxed);
+            }
         }
     });
-    pack
+    (pack, nonfinite.iter().map(|f| !f.load(Ordering::Relaxed)).collect())
 }
 
 /// Arguments threaded through the blocked kernels.
@@ -499,6 +519,9 @@ struct Gemm<'a> {
     ac: usize,
     ta: bool,
     bpack: &'a [f32],
+    /// Whether every value of this product's `B` is finite — the
+    /// condition under which all-zero `A` row groups may be skipped.
+    b_finite: bool,
     num_nc: usize,
     out: SharedSliceMut<'a>,
     /// Element offset of this product's output inside `out` (the batched
@@ -518,6 +541,7 @@ fn gemm_packed(
     ac: usize,
     ta: bool,
     bpack: &[f32],
+    b_finite: bool,
     out: &mut [f32],
     workers: usize,
 ) {
@@ -533,6 +557,7 @@ fn gemm_packed(
         ac,
         ta,
         bpack,
+        b_finite,
         num_nc: n.div_ceil(spec.nc),
         out: SharedSliceMut::new(out),
         out_base: 0,
@@ -541,8 +566,9 @@ fn gemm_packed(
 }
 
 /// Runs the packed kernel for every slice of a batched product over one
-/// shared `(slice, row-block)` task grid. `shared_b` broadcasts a single
-/// panel set across the batch axis.
+/// shared `(slice, row-block)` task grid. `b_finite` holds one flag per
+/// `B` slice; a single flag means one panel set broadcast across the
+/// batch axis.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn batched_gemm_packed(
     spec: BlockSpec,
@@ -552,7 +578,7 @@ fn batched_gemm_packed(
     n: usize,
     a: &[f32],
     bpack: &[f32],
-    shared_b: bool,
+    b_finite: &[bool],
     out: &mut [f32],
     workers: usize,
 ) {
@@ -570,7 +596,7 @@ fn batched_gemm_packed(
         while u < units.end {
             let bi = u / num_mc;
             let end = ((bi + 1) * num_mc).min(units.end);
-            let poff = if shared_b { 0 } else { bi * plen };
+            let bs = if b_finite.len() == 1 { 0 } else { bi };
             let g = Gemm {
                 spec,
                 m,
@@ -579,7 +605,8 @@ fn batched_gemm_packed(
                 a: &a[bi * m * k..(bi + 1) * m * k],
                 ac: k,
                 ta: false,
-                bpack: &bpack[poff..poff + plen],
+                bpack: &bpack[bs * plen..(bs + 1) * plen],
+                b_finite: b_finite[bs],
                 num_nc,
                 out: view,
                 out_base: bi * m * n,
@@ -688,7 +715,8 @@ fn compute_blocks_impl(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
                 let ncb = nc.min(g.n - j0);
                 let base = (kci * g.num_nc + nci) * (kc * nc);
                 let panel = &g.bpack[base..base + kcb * ncb];
-                macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, &apack[..mcb * kcb], panel);
+                let astrips = &apack[..mcb * kcb];
+                macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, astrips, panel, g.b_finite);
             }
         }
     }
@@ -717,7 +745,8 @@ fn pack_a(g: &Gemm<'_>, i0: usize, mcb: usize, p0: usize, kcb: usize, apack: &mu
 /// tiles; edge tiles (row or column remainders) fall back to an
 /// order-identical scalar path. The `out` slice covers rows
 /// `i0..i0+mcb` of the full output (stride `n`); columns `j0` onward are
-/// updated.
+/// updated. When `b_finite`, an all-zero `A` row group is skipped: it
+/// would add only `±0` to sums that started at `+0` (module docs).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn macro_tile(
@@ -729,8 +758,12 @@ fn macro_tile(
     ncb: usize,
     apack: &[f32],
     panel: &[f32],
+    b_finite: bool,
 ) {
     for (grp, astrip) in apack.chunks(MR * kcb).enumerate() {
+        if b_finite && astrip.iter().all(|&x| x == 0.0) {
+            continue;
+        }
         let r0 = grp * MR;
         let rows = MR.min(mcb - r0);
         for (s, bstrip) in panel.chunks(kcb * NR).enumerate() {

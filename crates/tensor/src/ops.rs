@@ -530,13 +530,23 @@ impl Tensor {
     }
 }
 
+// Both GELU scalars return early at `x == ±0` with exactly the bits the
+// formula gives there (`tanh(±0) = ±0`): `gelu(±0) = ±0` and
+// `gelu'(±0) = 0.5`. MoE capacity padding makes half the expert-FFN
+// activations zero, and this skips their `tanh` calls.
 fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    if x == 0.0 {
+        return x;
+    }
     0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
+    if x == 0.0 {
+        return 0.5;
+    }
     let inner = C * (x + 0.044_715 * x * x * x);
     let t = inner.tanh();
     let sech2 = 1.0 - t * t;
@@ -627,6 +637,29 @@ mod tests {
             let eps = 1e-3;
             let num = (gelu_scalar(x0 + eps) - gelu_scalar(x0 - eps)) / (2.0 * eps);
             assert!((g - num).abs() < 1e-3, "x={x0}: {g} vs {num}");
+        }
+    }
+
+    #[test]
+    fn gelu_zero_fast_path_matches_the_formula_bit_for_bit() {
+        // The unshortened formulas, as `gelu_scalar`/`gelu_grad_scalar`
+        // compute them for nonzero inputs.
+        const C: f32 = 0.797_884_6;
+        let gelu = |x: f32| 0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh());
+        let grad = |x: f32| {
+            let t = (C * (x + 0.044_715 * x * x * x)).tanh();
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044_715 * x * x)
+        };
+        let xs = t(vec![2], vec![0.0, -0.0]);
+        for (y, &x) in xs.gelu().data().iter().zip(xs.data()) {
+            assert_eq!(y.to_bits(), gelu(x).to_bits(), "gelu({x:?})");
+        }
+        for g0 in [0.0f32, -0.0, 1.0, -1.0] {
+            let g = t(vec![2], vec![g0; 2]);
+            let dx = xs.gelu_grad(&g).unwrap();
+            for (d, &x) in dx.data().iter().zip(xs.data()) {
+                assert_eq!(d.to_bits(), (g0 * grad(x)).to_bits(), "gelu_grad({x:?}, {g0:?})");
+            }
         }
     }
 

@@ -19,6 +19,13 @@
 //! [`matmul_reference`](crate::gemm::matmul_reference)) no matter which
 //! valid blocking produced the panels.
 //!
+//! A pack also caches, per batch slice, whether every value is finite —
+//! the condition for the GEMM's exact zero-row-group skip (see the
+//! [`gemm`](crate::gemm) determinism contract). Packs built here compute
+//! it inside the packing copy; packs rebuilt zero-copy from a store
+//! ([`PackedTensor::from_shared_panels`]) compute it on their first
+//! multiply, so loading stays a mapping.
+//!
 //! # Staleness
 //!
 //! A `PackedTensor` is a snapshot of the source values at pack time.
@@ -27,7 +34,7 @@
 //! invalidating packs when the source tensor is rebound (the executor's
 //! `Bindings` drop a tensor's pack on every rebinding for this reason).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::gemm::{self, BlockSpec};
 use crate::storage::{Buf, BufOwner};
@@ -39,17 +46,34 @@ use crate::{pool, Result, Tensor, TensorError};
 /// stacks) pack each leading slice and record `batch == B`. A `batch == 1`
 /// pack broadcasts across the batch axis of
 /// [`batched_matmul_packed`](crate::gemm::batched_matmul_packed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PackedTensor {
     buf: Buf,
     batch: usize,
     k: usize,
     n: usize,
     spec: BlockSpec,
-    /// Panel elements per batch slice (`buf.len() == batch * panel_len`).
-    panel_len: usize,
     src_shape: Vec<usize>,
     transposed: bool,
+    /// Per batch slice, whether every value is finite. Set by the packing
+    /// copy; filled on first use for zero-copy store panels. Clones share
+    /// it (their values are the same), and the `Arc` keeps the struct
+    /// small.
+    finite: Arc<OnceLock<Vec<bool>>>,
+}
+
+/// Equality of the packed operand itself; the finiteness cache is derived
+/// from `buf` and may not be filled yet on one side.
+impl PartialEq for PackedTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf == other.buf
+            && self.batch == other.batch
+            && self.k == other.k
+            && self.n == other.n
+            && self.spec == other.spec
+            && self.src_shape == other.src_shape
+            && self.transposed == other.transposed
+    }
 }
 
 impl PackedTensor {
@@ -88,9 +112,8 @@ impl PackedTensor {
         let (br, bc) = (b.shape()[0], b.shape()[1]);
         let (k, n) = if transpose_b { (bc, br) } else { (br, bc) };
         let w = pool::resolve_workers(workers);
-        let buf = gemm::pack_b(spec, k, n, b.data(), bc, transpose_b, w);
+        let (buf, finite) = gemm::pack_b(spec, 1, k, n, b.data(), bc, transpose_b, w);
         Ok(PackedTensor {
-            panel_len: buf.len(),
             buf: Buf::Owned(buf),
             batch: 1,
             k,
@@ -98,6 +121,7 @@ impl PackedTensor {
             spec,
             src_shape: b.shape().to_vec(),
             transposed: transpose_b,
+            finite: Arc::new(OnceLock::from(finite)),
         })
     }
 
@@ -131,9 +155,8 @@ impl PackedTensor {
         let spec = if spec.is_valid() { spec } else { BlockSpec::DEFAULT };
         let (bt, k, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
         let w = pool::resolve_workers(workers);
-        let buf = gemm::pack_b_batched(spec, bt, k, n, b.data(), w);
+        let (buf, finite) = gemm::pack_b(spec, bt, k, n, b.data(), n, false, w);
         Ok(PackedTensor {
-            panel_len: gemm::packed_len(spec, k, n),
             buf: Buf::Owned(buf),
             batch: bt,
             k,
@@ -141,6 +164,7 @@ impl PackedTensor {
             spec,
             src_shape: b.shape().to_vec(),
             transposed: false,
+            finite: Arc::new(OnceLock::from(finite)),
         })
     }
 
@@ -186,8 +210,7 @@ impl PackedTensor {
                 actual: src_shape.len(),
             });
         }
-        let panel_len = gemm::packed_len(spec, k, n);
-        let expected = batch.saturating_mul(panel_len);
+        let expected = batch.saturating_mul(gemm::packed_len(spec, k, n));
         if words != expected {
             return Err(TensorError::LengthMismatch { expected, actual: words });
         }
@@ -196,7 +219,16 @@ impl PackedTensor {
             expected: offset.saturating_add(words),
             actual: total,
         })?;
-        Ok(PackedTensor { buf, batch, k, n, spec, panel_len, src_shape, transposed })
+        Ok(PackedTensor {
+            buf,
+            batch,
+            k,
+            n,
+            spec,
+            src_shape,
+            transposed,
+            finite: Arc::default(),
+        })
     }
 
     /// The raw panel buffer (all batch slices, contiguous) — the bytes the
@@ -260,12 +292,21 @@ impl PackedTensor {
 
     /// Panels of batch slice `bi`.
     pub(crate) fn panels(&self, bi: usize) -> &[f32] {
-        &self.buf.as_slice()[bi * self.panel_len..(bi + 1) * self.panel_len]
+        let len = gemm::packed_len(self.spec, self.k, self.n);
+        &self.buf.as_slice()[bi * len..(bi + 1) * len]
     }
 
     /// The whole panel buffer (all batch slices, contiguous).
     pub(crate) fn buf(&self) -> &[f32] {
         self.buf.as_slice()
+    }
+
+    /// Per batch slice, whether every packed value is finite (scanned on
+    /// first call for store-loaded panels; the zero padding of edge panels
+    /// is finite and does not change the answer).
+    pub(crate) fn finite(&self) -> &[bool] {
+        self.finite
+            .get_or_init(|| (0..self.batch).map(|bi| gemm::all_finite(self.panels(bi))).collect())
     }
 }
 

@@ -49,14 +49,6 @@ echo "==> cargo bench -p lancet-bench --bench serve -- --quick"
 # by >= 5x, and the open-loop replay hits the cache and loses no response.
 cargo bench -p lancet-bench --bench serve -- --quick
 
-echo "==> cargo bench -p lancet-bench --bench placement -- --quick"
-# Expert-placement win floor on a skewed (Zipf) routing histogram: the
-# optimized placement must move no more inter-node bytes than uniform,
-# beat it strictly in simulated step time, the sim replay must be
-# bit-identical, and the serving runtime's affinity dispatch must land
-# every single-worker request on its preferred worker.
-cargo bench -p lancet-bench --bench placement -- --quick
-
 echo "==> cargo bench -p lancet-bench --bench decode -- --quick"
 # Decode-serving win floor: replays a deterministic open-loop generation
 # trace through the lancet-decode runtime under continuous and windowed

@@ -101,8 +101,10 @@ proptest! {
 }
 
 /// The pinned configuration behind `results/BENCH_placement.json` must
-/// keep its *strict* simulation win (the verify.sh floor) — a fixed
-/// anchor alongside the randomized non-strict property above.
+/// keep its *strict* simulation win and move no more inter-node bytes
+/// than uniform — the placement bench's floors, gated here by the test
+/// suite — a fixed anchor alongside the randomized non-strict property
+/// above.
 #[test]
 fn pinned_skewed_workload_wins_strictly() {
     let (layers, experts, devices, tokens, seed) = (4usize, 32usize, 16usize, 2048usize, 0x91ACE);
@@ -114,6 +116,12 @@ fn pinned_skewed_workload_wins_strictly() {
     let (optimized, report) =
         optimize_placement(&traffic, devices, 8, &PlacementOptions::default());
     assert!(report.optimized.objective < report.uniform.objective);
+    assert!(
+        report.optimized.inter_node_bytes <= report.uniform.inter_node_bytes,
+        "optimized placement moved more bytes across nodes than uniform: {} vs {}",
+        report.optimized.inter_node_bytes,
+        report.uniform.inter_node_bytes
+    );
 
     let cfg = GptMoeConfig::tiny(devices, lancet_repro::ir::GateKind::Switch);
     let graph = build_forward(&cfg).unwrap().graph;
