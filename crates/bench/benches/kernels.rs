@@ -40,6 +40,10 @@ const CAPACITY: usize = 64;
 /// padding `dispatch` writes.
 const PADDED_EXPERTS: usize = 2;
 const PADDED_FILLED: usize = CAPACITY / 2;
+/// The `train` workload's expert backward `dY · Wᵀ`: per expert, an
+/// `(80, 512)` output-gradient slice against the transpose of a
+/// `(128, 512)` weight slice.
+const TRANSPOSED: [usize; 4] = [2, 80, 512, 128];
 
 /// Speedup floor enforced in both modes; the recorded full-run number is
 /// expected to be well above this (see EXPERIMENTS.md).
@@ -57,6 +61,14 @@ const MIN_PADDED_SPEEDUP: f64 = 1.3;
 /// Alternating samples per side for the padded-vs-dense ratio (~25 ms per
 /// dense call).
 const PADDED_SAMPLES: usize = 20;
+/// Alternating samples per side for the transposed batched rows (~2 ms
+/// per naive call).
+const TRANSPOSED_SAMPLES: usize = 30;
+/// Floor for the transposed batched product against the naive kernel on
+/// a materialized transpose, enforced in both modes. Reading `Bᵀ` inside
+/// the packing copy must keep the packed engine well ahead; quick runs on
+/// a busy 2-core host ranged 3.1–5.6x, so the floor leaves room for noise.
+const MIN_TRANSPOSED_SPEEDUP: f64 = 2.0;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -80,7 +92,7 @@ fn main() {
     }
     let naive_batched = gemm::batched_matmul_reference(&xe, &we).unwrap();
     for workers in [1, 2, 0] {
-        let tiled = gemm::batched_matmul_tiled(&xe, &we, workers).unwrap();
+        let tiled = gemm::batched_matmul_t(&xe, &we, false, false, workers).unwrap();
         assert_eq!(
             naive_batched.data(),
             tiled.data(),
@@ -122,6 +134,20 @@ fn main() {
         gemm::batched_matmul_packed(&xp_padded, &packed_wp, 1).unwrap().data(),
         "padded prepacked batched matmul not bit-identical"
     );
+    // The transposed batched product reads `Bᵀ` while packing; the naive
+    // kernel gets the materialized transpose.
+    let [tb_e, tb_m, tb_k, tb_n] = TRANSPOSED;
+    let dy = rng.uniform(vec![tb_e, tb_m, tb_k], -1.0, 1.0);
+    let w_t = rng.uniform(vec![tb_e, tb_n, tb_k], -1.0, 1.0);
+    let w_mat = transpose_slices(&w_t);
+    let naive_t = gemm::batched_matmul_reference(&dy, &w_mat).unwrap();
+    for workers in [1, 2, 0] {
+        assert_eq!(
+            naive_t.data(),
+            gemm::batched_matmul_t(&dy, &w_t, false, true, workers).unwrap().data(),
+            "transposed batched matmul not bit-identical (workers={workers})"
+        );
+    }
     println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto)\n");
 
     let mut group = c.benchmark_group("matmul_gpt2s_moe");
@@ -141,12 +167,24 @@ fn main() {
         bench.iter(|| gemm::batched_matmul_reference(&xe, &we).unwrap())
     });
     group.bench_function("tiled", |bench| {
-        bench.iter(|| gemm::batched_matmul_tiled(&xe, &we, 1).unwrap())
+        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())
     });
     group.bench_function("threaded", |bench| {
-        bench.iter(|| gemm::batched_matmul_tiled(&xe, &we, 0).unwrap())
+        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 0).unwrap())
     });
     group.finish();
+
+    // Sampled alternately, like the padded rows below: at ~1 ms per call,
+    // back-to-back groups let one noisy phase of the host skew the ratio.
+    let transposed_rows = interleaved(
+        "batched_transposed",
+        TRANSPOSED_SAMPLES,
+        [
+            ("naive", &mut || drop(gemm::batched_matmul_reference(&dy, &w_mat).unwrap())),
+            ("tiled", &mut || drop(gemm::batched_matmul_t(&dy, &w_t, false, true, 1).unwrap())),
+            ("threaded", &mut || drop(gemm::batched_matmul_t(&dy, &w_t, false, true, 0).unwrap())),
+        ],
+    );
 
     // Prepacked panels vs repack-per-call, at the decode-step shape (the
     // steady-state serving hot path, where packing dominates), the full
@@ -171,7 +209,7 @@ fn main() {
 
     let mut group = c.benchmark_group("batched_experts_prepack");
     group.bench_function("repack", |bench| {
-        bench.iter(|| gemm::batched_matmul_tiled(&xe, &we, 1).unwrap())
+        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())
     });
     group.bench_function("prepacked", |bench| {
         bench.iter(|| gemm::batched_matmul_packed(&xe, &packed_we, 1).unwrap())
@@ -202,6 +240,8 @@ fn main() {
     let batched_tiled = speedup("batched_matmul_experts/naive", "batched_matmul_experts/tiled");
     let batched_threaded =
         speedup("batched_matmul_experts/naive", "batched_matmul_experts/threaded");
+    let transposed_tiled = transposed_rows[0].min_ns / transposed_rows[1].min_ns.max(1.0);
+    let transposed_threaded = transposed_rows[0].min_ns / transposed_rows[2].min_ns.max(1.0);
     let prepack_step = speedup("matmul_step_prepack/repack", "matmul_step_prepack/prepacked");
     let prepack_batch = speedup("matmul_batch_prepack/repack", "matmul_batch_prepack/prepacked");
     let prepack_experts =
@@ -214,6 +254,8 @@ fn main() {
     println!("  matmul  threaded {threaded_vs_naive:>7.2}x");
     println!("  batched tiled    {batched_tiled:>7.2}x");
     println!("  batched threaded {batched_threaded:>7.2}x");
+    println!("  batched Bᵀ tiled    {transposed_tiled:>7.2}x");
+    println!("  batched Bᵀ threaded {transposed_threaded:>7.2}x");
     println!("speedup of prepacked panels over repack-per-call:");
     println!("  step  (m={STEP_TOKENS:<3})   {prepack_step:>7.2}x");
     println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x");
@@ -226,6 +268,12 @@ fn main() {
     assert!(
         best >= MIN_SPEEDUP,
         "kernel regression: best matmul speedup {best:.2}x < {MIN_SPEEDUP}x floor"
+    );
+    let best_transposed = transposed_tiled.max(transposed_threaded);
+    assert!(
+        best_transposed >= MIN_TRANSPOSED_SPEEDUP,
+        "transposed batched regression: best speedup {best_transposed:.2}x < \
+         {MIN_TRANSPOSED_SPEEDUP}x floor"
     );
     assert!(
         prepack_step >= MIN_PREPACK_SPEEDUP,
@@ -241,12 +289,14 @@ fn main() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
             path,
-            c.summaries().iter().chain(&padded_rows),
+            c.summaries().iter().chain(&transposed_rows).chain(&padded_rows),
             &[
                 ("matmul_tiled_vs_naive", tiled_vs_naive),
                 ("matmul_threaded_vs_naive", threaded_vs_naive),
                 ("batched_tiled_vs_naive", batched_tiled),
                 ("batched_threaded_vs_naive", batched_threaded),
+                ("batched_transposed_tiled_vs_naive", transposed_tiled),
+                ("batched_transposed_threaded_vs_naive", transposed_threaded),
                 ("prepacked_vs_repack_step", prepack_step),
                 ("prepacked_vs_repack_batch", prepack_batch),
                 ("prepacked_vs_repack_experts", prepack_experts),
@@ -255,6 +305,20 @@ fn main() {
         );
         println!("\nwrote {path}");
     }
+}
+
+/// Materializes the transpose of every `(R, C)` slice of a rank-3 tensor.
+fn transpose_slices(x: &Tensor) -> Tensor {
+    let (e, r, c) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let mut out = vec![0.0f32; e * r * c];
+    for (src, dst) in x.data().chunks(r * c).zip(out.chunks_mut(r * c)) {
+        for i in 0..r {
+            for j in 0..c {
+                dst[j * r + i] = src[i * c + j];
+            }
+        }
+    }
+    Tensor::from_vec(vec![e, c, r], out).unwrap()
 }
 
 /// Times each named closure `samples` times, round-robin (one call of
@@ -314,6 +378,7 @@ fn write_artifact<'a>(
                 ("step", dims(&[STEP_TOKENS, HIDDEN, FFN])),
                 ("batched", dims(&[EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("padded", dims(&[PADDED_EXPERTS, CAPACITY, HIDDEN, FFN])),
+                ("transposed", dims(&TRANSPOSED)),
             ]),
         ),
         ("workers_auto", default_workers().into()),

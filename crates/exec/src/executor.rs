@@ -94,7 +94,7 @@ impl<'g> Executor<'g> {
                             }
                             _ => None,
                         };
-                        kernels::eval(&instr.op, &input_refs, packed, self.devices)
+                        kernels::eval(&instr.op, &input_refs, packed)
                             .map_err(|e| wrap(e, instr))?
                     };
                     debug_assert_eq!(outs.len(), instr.outputs.len());

@@ -1,13 +1,16 @@
 //! Per-instruction numeric kernels (single device).
 //!
-//! Matmuls route through `lancet-tensor`'s packed GEMM engine; the
-//! attention kernels below chunk their independent (batch, head) /
-//! batch units over the same shared thread pool. Every kernel keeps a
-//! fixed per-element accumulation order, so results are bit-identical
-//! for any worker count.
+//! Every contraction routes through `lancet-tensor`'s packed GEMM
+//! engine: transposed operands are resolved in its packing copies, and
+//! attention runs as one batched product over `(batch, head)` slices.
+//! Only the two score gradients stay loops (see `Op::AttnScoresGradQ`),
+//! chunked over the same shared thread pool. Every kernel keeps a fixed
+//! per-element accumulation order, so results are bit-identical for any
+//! worker count.
 
 use lancet_ir::{GateKind, Op};
 use lancet_moe::{route, CapacityState, Routing};
+use lancet_tensor::gemm::batched_matmul_t;
 use lancet_tensor::pool::{par_ranges, SharedSliceMut};
 use lancet_tensor::{PackedTensor, Tensor, TensorError};
 
@@ -60,6 +63,66 @@ fn routing_tensors(r: &Routing) -> (Tensor, Tensor) {
     (assign, scale)
 }
 
+/// Splits `(B, S, H)` into per-head slices `(B · heads, S, dh)`, one row
+/// copy per `(batch, position, head)`; columns past `heads · dh` are
+/// dropped.
+fn split_heads(x: &Tensor, heads: usize) -> Result<Tensor, TensorError> {
+    let (b, s, h) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let dh = h / heads;
+    let mut out = vec![0.0f32; b * heads * s * dh];
+    for (row, src) in x.data().chunks_exact(h.max(1)).enumerate() {
+        let (bi, i) = (row / s, row % s);
+        for hd in 0..heads {
+            let dst = ((bi * heads + hd) * s + i) * dh;
+            out[dst..dst + dh].copy_from_slice(&src[hd * dh..(hd + 1) * dh]);
+        }
+    }
+    Tensor::from_vec(vec![b * heads, s, dh], out)
+}
+
+/// Inverse of [`split_heads`]: `(B · heads, S, dh) → (B, S, H)`, zero in
+/// columns past `heads · dh`.
+fn merge_heads(x: &Tensor, heads: usize, h: usize) -> Result<Tensor, TensorError> {
+    let (bh, s, dh) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let b = bh / heads;
+    let mut out = vec![0.0f32; b * s * h];
+    for (plane, src) in x.data().chunks_exact((s * dh).max(1)).enumerate() {
+        let (bi, hd) = (plane / heads, plane % heads);
+        for i in 0..s {
+            let dst = (bi * s + i) * h + hd * dh;
+            out[dst..dst + dh].copy_from_slice(&src[i * dh..(i + 1) * dh]);
+        }
+    }
+    Tensor::from_vec(vec![b, s, h], out)
+}
+
+/// Views a `(B, heads, Sq, Sk)` attention tensor as `(B · heads, Sq, Sk)`.
+fn head_planes(p: &Tensor) -> Result<Tensor, TensorError> {
+    let d = p.shape();
+    p.reshape(vec![d[0] * d[1], d[2], d[3]])
+}
+
+/// Moves contiguous `block`-word runs from position `(o, i)` of an
+/// `(outer, inner)` grid to position `(i, o)` of the `(inner, outer)`
+/// grid: the expert-major/device-major shuffle, one copy per run.
+fn swap_blocks(
+    x: &Tensor,
+    outer: usize,
+    inner: usize,
+    block: usize,
+    shape: Vec<usize>,
+) -> Result<Tensor, TensorError> {
+    let src = x.data();
+    let mut out = vec![0.0f32; src.len()];
+    for o in 0..outer {
+        for i in 0..inner {
+            let (from, to) = ((o * inner + i) * block, (i * outer + o) * block);
+            out[to..to + block].copy_from_slice(&src[from..from + block]);
+        }
+    }
+    Tensor::from_vec(shape, out)
+}
+
 /// Gating logits and softmax scores for `(B,S,H) x (H,E)`.
 fn gate_scores(x: &Tensor, wg: &Tensor) -> Result<Tensor, TensorError> {
     let rows = as_rows(x)?;
@@ -75,7 +138,7 @@ fn gate_scores(x: &Tensor, wg: &Tensor) -> Result<Tensor, TensorError> {
 /// stale or absent pack only costs time, never correctness — but callers
 /// (the executor via `Bindings`) still invalidate packs on rebinding,
 /// because a pack is a *value* snapshot `matches` cannot vouch for.
-pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _devices: usize) -> KResult {
+pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>) -> KResult {
     match op {
         Op::MatMul { transpose_b } => {
             let x = ins[0];
@@ -101,19 +164,11 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
                     return Ok(vec![x.batched_matmul_prepacked(pb)?]);
                 }
             }
-            let wt;
-            let w = if *transpose_b {
-                wt = ins[1].permute(&[0, 2, 1])?;
-                &wt
-            } else {
-                ins[1]
-            };
-            Ok(vec![x.batched_matmul(w)?])
+            Ok(vec![batched_matmul_t(x, ins[1], false, *transpose_b, 0)?])
         }
         Op::BatchedMatMulDw => {
             // (E,C,K)^T (E,C,N) per expert -> (E,K,N)
-            let xt = ins[0].permute(&[0, 2, 1])?;
-            Ok(vec![xt.batched_matmul(ins[1])?])
+            Ok(vec![batched_matmul_t(ins[0], ins[1], true, false, 0)?])
         }
         Op::Add => Ok(vec![ins[0].add(ins[1])?]),
         Op::Mul => Ok(vec![ins[0].mul(ins[1])?]),
@@ -206,33 +261,19 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
             }
             let offset = s_k - s_q;
             let (heads, causal) = (*heads, *causal);
-            let dh = h / heads;
-            let scale = 1.0 / (dh as f32).sqrt();
-            let mut out = Tensor::zeros(vec![b, heads, s_q, s_k]);
-            let (qd, kd) = (q.data(), k.data());
-            let view = SharedSliceMut::new(out.data_mut());
-            par_ranges(b * heads, 0, |units| {
-                for u in units {
-                    let (bi, hd) = (u / heads, u % heads);
-                    // SAFETY: each (batch, head) unit owns its score plane.
-                    let plane = unsafe { view.range_mut(u * s_q * s_k..(u + 1) * s_q * s_k) };
-                    for i in 0..s_q {
-                        for j in 0..s_k {
-                            plane[i * s_k + j] = if causal && j > i + offset {
-                                -1e9
-                            } else {
-                                let mut acc = 0.0f32;
-                                for d in 0..dh {
-                                    acc += qd[(bi * s_q + i) * h + hd * dh + d]
-                                        * kd[(bi * s_k + j) * h + hd * dh + d];
-                                }
-                                acc * scale
-                            };
-                        }
+            let scale = 1.0 / ((h / heads) as f32).sqrt();
+            let (qh, kh) = (split_heads(q, heads)?, split_heads(k, heads)?);
+            // Q·Kᵀ per (batch, head): each score sums from +0 with d
+            // ascending, then is scaled; masked scores are overwritten.
+            let mut out = batched_matmul_t(&qh, &kh, false, true, 0)?;
+            for plane in out.data_mut().chunks_exact_mut((s_q * s_k).max(1)) {
+                for (i, row) in plane.chunks_exact_mut(s_k.max(1)).enumerate() {
+                    for (j, x) in row.iter_mut().enumerate() {
+                        *x = if causal && j > i + offset { -1e9 } else { *x * scale };
                     }
                 }
-            });
-            Ok(vec![out])
+            }
+            Ok(vec![Tensor::from_vec(vec![b, heads, s_q, s_k], out.into_vec())?])
         }
         Op::AttnScoresGradQ { heads, causal } => {
             let (k, dy) = (ins[0], ins[1]);
@@ -323,87 +364,23 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
                     v.shape()
                 )));
             }
-            let heads = *heads;
-            let dh = h / heads;
-            let mut out = Tensor::zeros(vec![b, s_q, h]);
-            let (pd, vd) = (p.data(), v.data());
-            let view = SharedSliceMut::new(out.data_mut());
-            par_ranges(b, 0, |batches| {
-                for bi in batches {
-                    // SAFETY: each batch owns its (s_q, h) output block.
-                    let blk = unsafe { view.range_mut(bi * s_q * h..(bi + 1) * s_q * h) };
-                    for hd in 0..heads {
-                        for i in 0..s_q {
-                            for j in 0..s_k {
-                                // No w == 0.0 short-circuit: 0·inf and
-                                // 0·NaN must propagate per IEEE 754.
-                                let w = pd[((bi * heads + hd) * s_q + i) * s_k + j];
-                                for d in 0..dh {
-                                    blk[i * h + hd * dh + d] +=
-                                        w * vd[(bi * s_k + j) * h + hd * dh + d];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-            Ok(vec![out])
+            // P·V per (batch, head), summed over key positions ascending.
+            let ctx = batched_matmul_t(&head_planes(p)?, &split_heads(v, *heads)?, false, false, 0)?;
+            Ok(vec![merge_heads(&ctx, *heads, h)?])
         }
         Op::AttnContextGradP { heads } => {
             let (v, dy) = (ins[0], ins[1]);
-            let (b, s, h) = (v.shape()[0], v.shape()[1], v.shape()[2]);
-            let heads = *heads;
-            let dh = h / heads;
-            let mut dp = Tensor::zeros(vec![b, heads, s, s]);
-            let (vd, dyd) = (v.data(), dy.data());
-            let view = SharedSliceMut::new(dp.data_mut());
-            par_ranges(b * heads, 0, |units| {
-                for u in units {
-                    let (bi, hd) = (u / heads, u % heads);
-                    // SAFETY: each (batch, head) unit owns its plane.
-                    let plane = unsafe { view.range_mut(u * s * s..(u + 1) * s * s) };
-                    for i in 0..s {
-                        for j in 0..s {
-                            let mut acc = 0.0f32;
-                            for d in 0..dh {
-                                acc += dyd[(bi * s + i) * h + hd * dh + d]
-                                    * vd[(bi * s + j) * h + hd * dh + d];
-                            }
-                            plane[i * s + j] = acc;
-                        }
-                    }
-                }
-            });
-            Ok(vec![dp])
+            let (b, s) = (v.shape()[0], v.shape()[1]);
+            // dY·Vᵀ per (batch, head), summed over d ascending.
+            let (vh, dyh) = (split_heads(v, *heads)?, split_heads(dy, *heads)?);
+            let dp = batched_matmul_t(&dyh, &vh, false, true, 0)?;
+            Ok(vec![Tensor::from_vec(vec![b, *heads, s, s], dp.into_vec())?])
         }
         Op::AttnContextGradV { heads } => {
             let (p, dy) = (ins[0], ins[1]);
-            let (b, s, h) = (dy.shape()[0], dy.shape()[1], dy.shape()[2]);
-            let heads = *heads;
-            let dh = h / heads;
-            let mut dv = Tensor::zeros(vec![b, s, h]);
-            let (pd, dyd) = (p.data(), dy.data());
-            let view = SharedSliceMut::new(dv.data_mut());
-            par_ranges(b, 0, |batches| {
-                for bi in batches {
-                    // SAFETY: each batch owns its (s, h) gradient block.
-                    let blk = unsafe { view.range_mut(bi * s * h..(bi + 1) * s * h) };
-                    for hd in 0..heads {
-                        for i in 0..s {
-                            for j in 0..s {
-                                // No w == 0.0 short-circuit: 0·inf and
-                                // 0·NaN must propagate per IEEE 754.
-                                let w = pd[((bi * heads + hd) * s + i) * s + j];
-                                for d in 0..dh {
-                                    blk[j * h + hd * dh + d] +=
-                                        w * dyd[(bi * s + i) * h + hd * dh + d];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-            Ok(vec![dv])
+            // Pᵀ·dY per (batch, head), summed over query positions ascending.
+            let dv = batched_matmul_t(&head_planes(p)?, &split_heads(dy, *heads)?, true, false, 0)?;
+            Ok(vec![merge_heads(&dv, *heads, dy.shape()[2])?])
         }
         Op::CrossEntropy => {
             let (logits, targets) = (ins[0], ins[1]);
@@ -617,18 +594,28 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
             Ok(vec![dscale])
         }
         Op::ExpertsLayout { gpus } => {
-            let b = ins[0];
+            // (gpus · El, C, M) → (El, gpus · C, M): the (gpus, El) grid of
+            // C·M runs is transposed.
+            let (b, gpus) = (ins[0], *gpus);
             let (e, c, m) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+            if gpus == 0 || e % gpus != 0 {
+                return Err(KernelFailure::Unsupported(format!(
+                    "experts_layout: {e} experts over {gpus} devices"
+                )));
+            }
             let el = e / gpus;
-            let v = b.reshape(vec![*gpus, el, c, m])?.permute(&[1, 0, 2, 3])?;
-            Ok(vec![v.reshape(vec![el, gpus * c, m])?])
+            Ok(vec![swap_blocks(b, gpus, el, c * m, vec![el, gpus * c, m])?])
         }
         Op::ExpertsLayoutInv { gpus } => {
-            let b = ins[0];
+            let (b, gpus) = (ins[0], *gpus);
             let (el, gc, m) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+            if gpus == 0 || gc % gpus != 0 {
+                return Err(KernelFailure::Unsupported(format!(
+                    "experts_layout_inv: {gc} rows over {gpus} devices"
+                )));
+            }
             let c = gc / gpus;
-            let v = b.reshape(vec![el, *gpus, c, m])?.permute(&[1, 0, 2, 3])?;
-            Ok(vec![v.reshape(vec![el * gpus, c, m])?])
+            Ok(vec![swap_blocks(b, el, gpus, c * m, vec![el * gpus, c, m])?])
         }
         Op::Slice { axis, start, end } => Ok(vec![ins[0].slice_axis(*axis, *start, *end)?]),
         Op::Pad { axis, before, after } => {
@@ -691,4 +678,34 @@ fn route_from_scores(
     state: Option<&mut CapacityState>,
 ) -> Result<Routing, KernelFailure> {
     Ok(route(kind, logits, capacity, state)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experts_layout_moves_whole_expert_runs() {
+        // 2 devices × 3 local experts, capacity 2, width 3: element value =
+        // its flat index, so every output position names its source.
+        let (gpus, el, c, m) = (2, 3, 2, 3);
+        let values = (0..gpus * el * c * m).map(|v| v as f32).collect();
+        let x = Tensor::from_vec(vec![gpus * el, c, m], values).unwrap();
+        let y = eval(&Op::ExpertsLayout { gpus }, &[&x], None).unwrap().remove(0);
+        assert_eq!(y.shape(), &[el, gpus * c, m]);
+        for l in 0..el {
+            for g in 0..gpus {
+                for r in 0..c * m {
+                    let got = y.data()[(l * gpus + g) * c * m + r];
+                    assert_eq!(got, x.data()[(g * el + l) * c * m + r], "expert {l}, device {g}");
+                }
+            }
+        }
+        let back = eval(&Op::ExpertsLayoutInv { gpus }, &[&y], None).unwrap().remove(0);
+        assert_eq!(back, x);
+        for bad in [0, 5] {
+            assert!(eval(&Op::ExpertsLayout { gpus: bad }, &[&x], None).is_err());
+            assert!(eval(&Op::ExpertsLayoutInv { gpus: bad }, &[&y], None).is_err());
+        }
+    }
 }

@@ -77,7 +77,7 @@ pub fn eval_op_packed(
 ) -> Result<Vec<lancet_tensor::Tensor>> {
     use kernels::KernelFailure;
     let instr = lancet_ir::InstrId(u32::MAX);
-    kernels::eval(op, ins, packed_b, 1).map_err(|e| match e {
+    kernels::eval(op, ins, packed_b).map_err(|e| match e {
         KernelFailure::Tensor(source) => ExecError::Kernel { instr, op: op.name(), source },
         KernelFailure::Moe(source) => ExecError::Moe { instr, op: op.name(), source },
         KernelFailure::Unsupported(detail) => ExecError::Unsupported { instr, detail },

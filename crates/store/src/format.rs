@@ -23,8 +23,12 @@ use crate::StoreError;
 /// First eight bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"LNCSTOR\x01";
 
-/// Format version this crate reads and writes.
-pub const VERSION: u32 = 1;
+/// Format version this crate reads and writes. Version 2 stores packed
+/// panels tight (`k · n` words per slice, no panel padded to the full
+/// `kc × nc` block); version 1 files used the padded layout, so their
+/// panel words sit at other offsets whenever `k % kc ≠ 0` or `n % nc ≠ 0`,
+/// and they are refused instead of misread.
+pub const VERSION: u32 = 2;
 
 /// Endianness canary: decodes to this value only when the file is read
 /// with the same byte order it was written with.

@@ -90,6 +90,20 @@ fn empty_model_round_trips() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Version 1 files hold panels in the padded layout; reading them with
+/// the tight one would misplace panel words, so they must be refused.
+#[test]
+fn version_1_files_are_refused() {
+    let (weights, packs) = sample_model(1);
+    let path = tmp("v1");
+    write_store(&path, "sample", &weights, &packs).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(open_store(&path), Err(StoreError::WrongVersion { found: 1, expected: 2 })));
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn corrupted_header_fields_are_typed_errors() {
     let (weights, packs) = sample_model(1);

@@ -1,5 +1,6 @@
 //! The packed, cache-blocked matmul engine behind [`Tensor::matmul`],
-//! [`Tensor::matmul_t`] and [`Tensor::batched_matmul`].
+//! [`Tensor::matmul_t`], [`Tensor::batched_matmul`] and the executor's
+//! transposed batched products ([`batched_matmul_t`]).
 //!
 //! # Why packing
 //!
@@ -10,9 +11,14 @@
 //!
 //! 1. **Pack `B` once** into `kc × nc` panels of `NR`-wide column strips
 //!    (transposes are resolved during packing, so the micro-kernel only
-//!    ever streams contiguous data).
+//!    ever streams contiguous data). The panels tile a `K × N` slice
+//!    exactly, with no padding: a slice packs into `k · n` words, and
+//!    panel `(kci, nci)` (rows `p0 = kci · kc`, columns `j0 = nci · nc`)
+//!    starts at `p0 · n + kcb · j0`, where `kcb = min(kc, k − p0)` is
+//!    the depth of its panel row.
 //! 2. **Pack `A`** per `mc × kc` block into a worker-local buffer,
-//!    interleaved in `MR`-row groups.
+//!    interleaved in `MR`-row groups (transposes are resolved here too,
+//!    so a transposed operand is never materialized).
 //! 3. A **register-tiled micro-kernel** updates an `MR × NR` output tile
 //!    with the accumulators held in registers across the whole `kc`
 //!    depth — one output load and one store per tile instead of one per
@@ -38,11 +44,21 @@
 //! never the per-element accumulation order: the accumulator tile is
 //! loaded from and stored back to `out` per `kc` block, so the adds stay
 //! left-associated and `k`-ascending for any `BlockSpec`. Consequently
-//! [`matmul_tiled`], [`matmul_tiled_with`] (any valid spec) and
-//! [`matmul_packed`] are all bit-identical to [`matmul_reference`] for
-//! every shape, transpose combination, worker count, and SIMD path —
-//! enforced by `tests/backend_props.rs` and relied on by the fig05
-//! equivalence harness.
+//! [`matmul_tiled`], [`matmul_tiled_with`] (any valid spec),
+//! [`matmul_packed`] and every slice of [`batched_matmul_t`] are all
+//! bit-identical to [`matmul_reference`] for every shape, transpose
+//! combination, worker count, and SIMD path — enforced by
+//! `tests/backend_props.rs` and relied on by the fig05 equivalence
+//! harness.
+//!
+//! The same argument makes the executor's attention products
+//! (`Q·Kᵀ`, `P·V`, `dY·Vᵀ`, `Pᵀ·dY`, one [`batched_matmul_t`] slice per
+//! `(batch, head)`) bit-equal to the scalar loops they replaced: each of
+//! those loops summed its products from `+0` with the contraction index
+//! ascending, which is exactly this order. The score gradients with
+//! respect to `Q` and `K` stay loops, because they skip causally masked
+//! positions outright: as a product, the `0 · ∞` or `0 · NaN` a masked
+//! position can hold would turn into NaN instead of being skipped.
 //!
 //! The packed kernels skip one kind of arithmetic whose result is known
 //! exactly: an `MR`-row group of packed `A` that is all `== 0.0` (either
@@ -291,47 +307,71 @@ pub fn matmul_packed(a: &Tensor, b: &PackedTensor, ta: bool, workers: usize) -> 
 ///
 /// Same conditions as [`Tensor::batched_matmul`].
 pub fn batched_matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (bt, m, k, n) = batched_dims(a, b)?;
+    let (bt, m, k, n) = batched_dims(a, b, false, false)?;
     let mut out = vec![0.0f32; bt * m * n];
+    batched_reference_into(bt, m, k, n, a, false, b, false, &mut out);
+    Tensor::from_vec(vec![bt, m, n], out)
+}
+
+/// The reference loop over every slice of a batched product, resolving
+/// virtual transposes per slice.
+#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
+fn batched_reference_into(
+    bt: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &Tensor,
+    ta: bool,
+    b: &Tensor,
+    tb: bool,
+    out: &mut [f32],
+) {
+    let (ac, bc) = (a.shape()[2], b.shape()[2]);
     for bi in 0..bt {
         reference_into(
             m,
             k,
             n,
             &a.data()[bi * m * k..(bi + 1) * m * k],
-            k,
-            false,
+            ac,
+            ta,
             &b.data()[bi * k * n..(bi + 1) * k * n],
-            n,
-            false,
+            bc,
+            tb,
             &mut out[bi * m * n..(bi + 1) * m * n],
         );
     }
-    Tensor::from_vec(vec![bt, m, n], out)
 }
 
-/// Tiled batched matmul. Packs every expert's panels in parallel over the
-/// shared pool, then splits the `(expert, row-block)` grid across workers
-/// — so parallelism no longer collapses when `bt` is smaller than the
-/// worker count, and packing is no longer serialized per expert.
+/// Batched matmul with optional per-slice transposes: `(B, M, K) x (B, K,
+/// N) -> (B, M, N)`, where `ta` reads each stored `(K, M)` slice of `a` as
+/// its transpose and `tb` each stored `(N, K)` slice of `b` — resolved in
+/// the packing copies, never materialized. Packs every slice's panels in
+/// parallel over the shared pool, then splits the `(slice, row-block)`
+/// grid across workers, so parallelism does not collapse when `B` is
+/// smaller than the worker count. Products with at most `SMALL_GEMM`
+/// multiply-adds in total run the reference loop.
 ///
-/// Per-element accumulation order is unchanged, so results are
-/// bit-identical to [`batched_matmul_reference`] for any `workers`
-/// (`0` = auto).
+/// Every slice is bit-identical to [`matmul_reference`] on it, for any
+/// `workers` (`0` = auto).
 ///
 /// # Errors
 ///
-/// Same conditions as [`Tensor::batched_matmul`].
-pub fn batched_matmul_tiled(a: &Tensor, b: &Tensor, workers: usize) -> Result<Tensor> {
-    let (bt, m, k, n) = batched_dims(a, b)?;
-    if bt == 0 || m * k * n <= SMALL_GEMM {
-        return batched_matmul_reference(a, b);
-    }
-    let spec = crate::tune::spec_for(m, k, n);
+/// [`TensorError::RankMismatch`] unless both operands are rank-3;
+/// [`TensorError::ShapeMismatch`] when the batch axes or the contraction
+/// dimensions (after transposes) disagree.
+pub fn batched_matmul_t(a: &Tensor, b: &Tensor, ta: bool, tb: bool, workers: usize) -> Result<Tensor> {
+    let (bt, m, k, n) = batched_dims(a, b, ta, tb)?;
     let mut out = vec![0.0f32; bt * m * n];
-    let w = pool::resolve_workers(workers);
-    let (bpack, finite) = pack_b(spec, bt, k, n, b.data(), n, false, w);
-    batched_gemm_packed(spec, bt, m, k, n, a.data(), &bpack, &finite, &mut out, w);
+    if bt * m * k * n <= SMALL_GEMM {
+        batched_reference_into(bt, m, k, n, a, ta, b, tb, &mut out);
+    } else {
+        let spec = crate::tune::spec_for(m, k, n);
+        let w = pool::resolve_workers(workers);
+        let (bpack, finite) = pack_b(spec, bt, k, n, b.data(), b.shape()[2], tb, w);
+        batched_gemm_packed(spec, bt, m, k, n, a.data(), a.shape()[2], ta, &bpack, &finite, &mut out, w);
+    }
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
@@ -367,11 +407,13 @@ pub fn batched_matmul_packed(a: &Tensor, b: &PackedTensor, workers: usize) -> Re
     let n = b.n();
     let mut out = vec![0.0f32; bt * m * n];
     let w = pool::resolve_workers(workers);
-    batched_gemm_packed(b.spec(), bt, m, k, n, a.data(), b.buf(), b.finite(), &mut out, w);
+    batched_gemm_packed(b.spec(), bt, m, k, n, a.data(), k, false, b.buf(), b.finite(), &mut out, w);
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
-fn batched_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> {
+/// Validates rank-3 shapes and resolves per-slice virtual transposes to
+/// `(batch, m, k, n)`.
+fn batched_dims(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<(usize, usize, usize, usize)> {
     if a.rank() != 3 || b.rank() != 3 {
         return Err(TensorError::RankMismatch {
             op: "batched_matmul",
@@ -379,8 +421,10 @@ fn batched_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> 
             actual: if a.rank() != 3 { a.rank() } else { b.rank() },
         });
     }
-    let (bt, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-    let (b2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    let (bt, ar, ac) = (a.shape()[0], a.shape()[1], a.shape()[2]);
+    let (b2, br, bc) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
+    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
     if bt != b2 || k != k2 {
         return Err(TensorError::ShapeMismatch {
             op: "batched_matmul",
@@ -391,14 +435,10 @@ fn batched_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> 
     Ok((bt, m, k, n))
 }
 
-/// Elements one matrix occupies in panel layout under `spec` (`kc × nc`
-/// slots, edge panels padded to full size so panel addressing stays a
-/// multiplication).
-pub(crate) fn packed_len(spec: BlockSpec, k: usize, n: usize) -> usize {
-    k.div_ceil(spec.kc) * n.div_ceil(spec.nc) * spec.kc * spec.nc
-}
-
 /// Resolves panel index `panel` to its geometry: `(p0, j0, kcb, ncb)`.
+/// The panel starts at word `p0 · n + kcb · j0` of its packed slice: the
+/// panel rows above it fill `p0 · n` words, and the panels to its left in
+/// its own row `kcb · j0`.
 fn panel_dims(
     spec: BlockSpec,
     k: usize,
@@ -469,10 +509,11 @@ fn pack_panel(
 
 /// Packs the `bt` contiguous `K × N` slices of `B` (stored stride `bc`,
 /// resolving a virtual transpose) into panel layout, parallelizing over
-/// the full `(slice, panel)` grid. Slice `bi` starts at `bi *
-/// packed_len(spec, k, n)`; within it, panel `(kci, nci)` starts at `(kci
-/// * num_nc + nci) * kc * nc`. Also returns, per slice, whether every
-/// value is finite — the condition for the zero-group skip (module docs).
+/// the full `(slice, panel)` grid. Every slice packs into exactly `k · n`
+/// words, slice `bi` starting at `bi · k · n`; within it, panel `(kci,
+/// nci)` starts at `p0 · n + kcb · j0` (`panel_dims`), so no panel is
+/// padded. Also returns, per slice, whether every value is finite — the
+/// condition for the zero-group skip (module docs).
 /// Backs the per-call packing of the tiled paths and
 /// [`PackedTensor`](crate::PackedTensor)'s constructors.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
@@ -488,15 +529,14 @@ pub(crate) fn pack_b(
 ) -> (Vec<f32>, Vec<bool>) {
     let num_nc = n.div_ceil(spec.nc);
     let per = k.div_ceil(spec.kc) * num_nc;
-    let plen = packed_len(spec, k, n);
-    let mut pack = vec![0.0f32; bt * plen];
+    let mut pack = vec![0.0f32; bt * k * n];
     let nonfinite: Vec<AtomicBool> = (0..bt).map(|_| AtomicBool::new(false)).collect();
     let view = SharedSliceMut::new(&mut pack);
     pool::par_ranges(bt * per, workers, |units| {
         for u in units {
             let (bi, panel) = (u / per, u % per);
-            let (_, _, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
-            let base = bi * plen + panel * spec.kc * spec.nc;
+            let (p0, j0, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
+            let base = bi * k * n + p0 * n + kcb * j0;
             // SAFETY: (slice, panel) ranges are disjoint across tasks.
             let dst = unsafe { view.range_mut(base..base + kcb * ncb) };
             let src = &b[bi * k * n..(bi + 1) * k * n];
@@ -566,9 +606,10 @@ fn gemm_packed(
 }
 
 /// Runs the packed kernel for every slice of a batched product over one
-/// shared `(slice, row-block)` task grid. `b_finite` holds one flag per
-/// `B` slice; a single flag means one panel set broadcast across the
-/// batch axis.
+/// shared `(slice, row-block)` task grid. Each `A` slice is `m · k`
+/// contiguous words with stored row stride `ac`, read transposed when
+/// `ta`. `b_finite` holds one flag per `B` slice; a single flag means one
+/// panel set broadcast across the batch axis.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn batched_gemm_packed(
     spec: BlockSpec,
@@ -577,6 +618,8 @@ fn batched_gemm_packed(
     k: usize,
     n: usize,
     a: &[f32],
+    ac: usize,
+    ta: bool,
     bpack: &[f32],
     b_finite: &[bool],
     out: &mut [f32],
@@ -585,7 +628,6 @@ fn batched_gemm_packed(
     if bt == 0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    let plen = packed_len(spec, k, n);
     let num_mc = m.div_ceil(spec.mc);
     let num_nc = n.div_ceil(spec.nc);
     let view = SharedSliceMut::new(out);
@@ -603,9 +645,9 @@ fn batched_gemm_packed(
                 k,
                 n,
                 a: &a[bi * m * k..(bi + 1) * m * k],
-                ac: k,
-                ta: false,
-                bpack: &bpack[bs * plen..(bs + 1) * plen],
+                ac,
+                ta,
+                bpack: &bpack[bs * k * n..(bs + 1) * k * n],
                 b_finite: b_finite[bs],
                 num_nc,
                 out: view,
@@ -698,7 +740,7 @@ fn compute_blocks_portable(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
 #[inline(always)]
 fn compute_blocks_impl(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
     let (mc, kc, nc) = (g.spec.mc, g.spec.kc, g.spec.nc);
-    let mut apack = vec![0.0f32; mc * kc];
+    let mut apack = vec![0.0f32; mc.min(g.m) * kc.min(g.k)];
     for blk in blocks {
         let i0 = blk * mc;
         let mcb = mc.min(g.m - i0);
@@ -713,7 +755,7 @@ fn compute_blocks_impl(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
             for nci in 0..g.num_nc {
                 let j0 = nci * nc;
                 let ncb = nc.min(g.n - j0);
-                let base = (kci * g.num_nc + nci) * (kc * nc);
+                let base = p0 * g.n + kcb * j0;
                 let panel = &g.bpack[base..base + kcb * ncb];
                 let astrips = &apack[..mcb * kcb];
                 macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, astrips, panel, g.b_finite);
@@ -742,10 +784,10 @@ fn pack_a(g: &Gemm<'_>, i0: usize, mcb: usize, p0: usize, kcb: usize, apack: &mu
 }
 
 /// Accumulates an `mcb × ncb` output tile as a grid of `MR × NR` register
-/// tiles; edge tiles (row or column remainders) fall back to an
-/// order-identical scalar path. The `out` slice covers rows
-/// `i0..i0+mcb` of the full output (stride `n`); columns `j0` onward are
-/// updated. When `b_finite`, an all-zero `A` row group is skipped: it
+/// tiles; edge tiles (row or column remainders) run the same register
+/// tile over zero-padded operand lanes (`tile_edge`). The `out` slice
+/// covers rows `i0..i0+mcb` of the full output (stride `n`); columns `j0`
+/// onward are updated. When `b_finite`, an all-zero `A` row group is skipped: it
 /// would add only `±0` to sums that started at `+0` (module docs).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
@@ -805,8 +847,12 @@ fn tile_full(out: &mut [f32], n: usize, off: usize, kcb: usize, astrip: &[f32], 
     }
 }
 
-/// Remainder tiles (< `MR` rows or < `NR` columns): same `k`-ascending
-/// per-element order, operand widths from the packed layouts.
+/// Remainder tiles (< `MR` rows or < `NR` columns): the register tile of
+/// [`tile_full`], with the missing rows and columns of each `k` step's
+/// operands filled with zeros so every loop keeps its fixed `MR × NR`
+/// shape. Only the valid `rows × w` accumulators are loaded and stored;
+/// each of them sees the same `k`-ascending adds as in a full tile, and
+/// the padding lanes are discarded.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn tile_edge(
@@ -819,15 +865,22 @@ fn tile_edge(
     astrip: &[f32],
     bstrip: &[f32],
 ) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+        accr[..w].copy_from_slice(&out[off + r * n..off + r * n + w]);
+    }
     for pp in 0..kcb {
-        let b = &bstrip[pp * w..pp * w + w];
-        let a = &astrip[pp * rows..pp * rows + rows];
-        for (r, &av) in a.iter().enumerate() {
-            let orow = &mut out[off + r * n..off + r * n + w];
-            for (o, &bv) in orow.iter_mut().zip(b) {
-                *o += av * bv;
+        let (ap, bp) = (&astrip[pp * rows..pp * rows + rows], &bstrip[pp * w..pp * w + w]);
+        let a: [f32; MR] = std::array::from_fn(|r| if r < rows { ap[r] } else { 0.0 });
+        let b: [f32; NR] = std::array::from_fn(|c| if c < w { bp[c] } else { 0.0 });
+        for (accr, &ar) in acc.iter_mut().zip(&a) {
+            for (o, &bv) in accr.iter_mut().zip(&b) {
+                *o += ar * bv;
             }
         }
+    }
+    for (r, accr) in acc.iter().enumerate().take(rows) {
+        out[off + r * n..off + r * n + w].copy_from_slice(&accr[..w]);
     }
 }
 
@@ -877,7 +930,7 @@ mod tests {
             let b = rng.uniform(vec![bt, k, n], -1.0, 1.0);
             let reference = batched_matmul_reference(&a, &b).unwrap();
             for workers in [1, 2, 0] {
-                close(&batched_matmul_tiled(&a, &b, workers).unwrap(), &reference);
+                close(&batched_matmul_t(&a, &b, false, false, workers).unwrap(), &reference);
             }
         }
     }
@@ -894,7 +947,7 @@ mod tests {
         let b = rng.uniform(vec![bt, k, n], -1.0, 1.0);
         let reference = batched_matmul_reference(&a, &b).unwrap();
         for workers in [1, 2, 3, 7, 16, 0] {
-            close(&batched_matmul_tiled(&a, &b, workers).unwrap(), &reference);
+            close(&batched_matmul_t(&a, &b, false, false, workers).unwrap(), &reference);
         }
     }
 

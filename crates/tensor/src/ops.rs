@@ -191,7 +191,7 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`]/[`TensorError::ShapeMismatch`]
     /// on malformed inputs.
     pub fn batched_matmul(&self, other: &Tensor) -> Result<Tensor> {
-        crate::gemm::batched_matmul_tiled(self, other, 0)
+        crate::gemm::batched_matmul_t(self, other, false, false, 0)
     }
 
     /// Matrix product against a weight already resident in panel layout
@@ -786,88 +786,6 @@ mod tests {
     fn transpose2_involution() {
         let x = t(vec![2, 3], (0..6).map(|v| v as f32).collect());
         assert_eq!(x.transpose2().unwrap().transpose2().unwrap(), x);
-    }
-}
-
-impl Tensor {
-    /// Permutes dimensions: `out[i_perm[0], …] = in[i_0, …]`.
-    ///
-    /// `perm` maps output axes to input axes, e.g. `perm = [1, 0]` is a
-    /// transpose and `perm = [0, 2, 1, 3]` swaps the middle axes of a
-    /// rank-4 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if `perm.len() != rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..rank`.
-    pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
-        if perm.len() != self.rank() {
-            return Err(TensorError::RankMismatch {
-                op: "permute",
-                expected: self.rank(),
-                actual: perm.len(),
-            });
-        }
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            assert!(p < perm.len() && !seen[p], "perm must be a permutation");
-            seen[p] = true;
-        }
-        let in_dims = self.shape();
-        let out_dims: Vec<usize> = perm.iter().map(|&p| in_dims[p]).collect();
-        let in_strides = crate::stride_for(in_dims);
-        let out_volume: usize = out_dims.iter().product();
-        let mut out = vec![0.0f32; out_volume];
-        let out_strides = crate::stride_for(&out_dims);
-        for (o_idx, slot) in out.iter_mut().enumerate() {
-            // Decompose o_idx into output coordinates, map to input offset.
-            let mut rem = o_idx;
-            let mut in_off = 0usize;
-            for (d, &os) in out_strides.iter().enumerate() {
-                let coord = rem / os;
-                rem %= os;
-                in_off += coord * in_strides[perm[d]];
-            }
-            *slot = self.data()[in_off];
-        }
-        Tensor::from_vec(out_dims, out)
-    }
-}
-
-#[cfg(test)]
-mod permute_tests {
-    use super::*;
-
-    #[test]
-    fn permute_matches_transpose2() {
-        let x = Tensor::from_vec(vec![2, 3], (0..6).map(|v| v as f32).collect()).unwrap();
-        assert_eq!(x.permute(&[1, 0]).unwrap(), x.transpose2().unwrap());
-    }
-
-    #[test]
-    fn permute_rank3_roundtrip() {
-        let x = Tensor::from_vec(vec![2, 3, 4], (0..24).map(|v| v as f32).collect()).unwrap();
-        let y = x.permute(&[2, 0, 1]).unwrap();
-        assert_eq!(y.shape(), &[4, 2, 3]);
-        // Inverse permutation restores the original.
-        let z = y.permute(&[1, 2, 0]).unwrap();
-        assert_eq!(z, x);
-        assert_eq!(y.at(&[3, 1, 2]), x.at(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn permute_identity() {
-        let x = Tensor::from_vec(vec![2, 2, 2], (0..8).map(|v| v as f32).collect()).unwrap();
-        assert_eq!(x.permute(&[0, 1, 2]).unwrap(), x);
-    }
-
-    #[test]
-    fn permute_rejects_wrong_rank() {
-        let x = Tensor::zeros(vec![2, 2]);
-        assert!(x.permute(&[0]).is_err());
     }
 }
 

@@ -174,7 +174,7 @@ impl PackedTensor {
     /// replicas skip re-packing at load.
     ///
     /// The window must hold exactly `batch` panel slices for `(k, n)`
-    /// under `spec` (i.e. `words == batch * packed_len(spec, k, n)`), laid
+    /// (i.e. `words == batch * k * n`: panels are never padded), laid
     /// out exactly as [`PackedTensor::pack_with`] /
     /// [`PackedTensor::pack_batched_with`] produce them; the panel layout
     /// is part of the store's format contract.
@@ -210,7 +210,7 @@ impl PackedTensor {
                 actual: src_shape.len(),
             });
         }
-        let expected = batch.saturating_mul(gemm::packed_len(spec, k, n));
+        let expected = batch.saturating_mul(k).saturating_mul(n);
         if words != expected {
             return Err(TensorError::LengthMismatch { expected, actual: words });
         }
@@ -292,7 +292,7 @@ impl PackedTensor {
 
     /// Panels of batch slice `bi`.
     pub(crate) fn panels(&self, bi: usize) -> &[f32] {
-        let len = gemm::packed_len(self.spec, self.k, self.n);
+        let len = self.k * self.n;
         &self.buf.as_slice()[bi * len..(bi + 1) * len]
     }
 
@@ -302,8 +302,7 @@ impl PackedTensor {
     }
 
     /// Per batch slice, whether every packed value is finite (scanned on
-    /// first call for store-loaded panels; the zero padding of edge panels
-    /// is finite and does not change the answer).
+    /// first call for store-loaded panels).
     pub(crate) fn finite(&self) -> &[bool] {
         self.finite
             .get_or_init(|| (0..self.batch).map(|bi| gemm::all_finite(self.panels(bi))).collect())
@@ -438,7 +437,7 @@ mod tests {
     fn bytes_reports_panel_buffer() {
         let b = Tensor::zeros(vec![100, 100]);
         let pb = PackedTensor::pack_with(&b, false, BlockSpec::DEFAULT, 1).unwrap();
-        // One 256×512 panel slot (edges padded to full size).
-        assert_eq!(pb.bytes(), (256 * 512 * 4) as u64);
+        // Panels tile the matrix exactly: no padding to full panel size.
+        assert_eq!(pb.bytes(), (100 * 100 * 4) as u64);
     }
 }

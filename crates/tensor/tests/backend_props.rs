@@ -98,23 +98,43 @@ proptest! {
         }
     }
 
-    /// The batched (per-expert) engine is bit-identical to the reference
-    /// for every expert count and worker count.
+    /// Every slice of the batched engine is bit-identical to the reference
+    /// on that slice, for every transpose combination (resolved in the
+    /// packing copies, never materialized), expert count and worker
+    /// count, on both sides of the small-problem cutoff (`small` keeps the
+    /// whole product under 32³ multiply-adds, where the reference loop
+    /// runs).
     #[test]
-    fn tiled_batched_matmul_is_bit_identical(
+    fn batched_matmul_t_is_bit_identical(
         dims in (1usize..5, 1usize..40, 1usize..70, 1usize..90),
+        small in any::<bool>(),
+        ta in any::<bool>(),
+        tb in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (e, m, k, n) = dims;
-        let a = random_tensor(vec![e, m, k], seed);
-        let b = random_tensor(vec![e, k, n], seed ^ 0x5EED);
-        let reference = gemm::batched_matmul_reference(&a, &b).unwrap();
+        let (e, m, k, n) = if small {
+            (dims.0.min(3), dims.1 % 12 + 1, dims.2 % 20 + 1, dims.3 % 20 + 1)
+        } else {
+            dims
+        };
+        let a = random_tensor(if ta { vec![e, k, m] } else { vec![e, m, k] }, seed);
+        let b = random_tensor(if tb { vec![e, n, k] } else { vec![e, k, n] }, seed ^ 0x5EED);
+        let mut reference = Vec::with_capacity(e * m * n);
+        let slice = |x: &Tensor, bi: usize| {
+            x.slice_axis(0, bi, bi + 1).unwrap().reshape(x.shape()[1..].to_vec()).unwrap()
+        };
+        for bi in 0..e {
+            let y = gemm::matmul_reference(&slice(&a, bi), &slice(&b, bi), ta, tb).unwrap();
+            reference.extend_from_slice(y.data());
+        }
+        let reference = Tensor::from_vec(vec![e, m, n], reference).unwrap();
         for workers in WORKER_COUNTS {
-            let tiled = gemm::batched_matmul_tiled(&a, &b, workers).unwrap();
-            prop_assert!(
-                reference.data() == tiled.data(),
-                "batched_matmul diverged from reference: e={e} m={m} k={k} n={n} workers={workers}"
-            );
+            let tiled = gemm::batched_matmul_t(&a, &b, ta, tb, workers).unwrap();
+            assert_bits(
+                &reference,
+                &tiled,
+                &format!("batched_matmul_t e={e} m={m} k={k} n={n} ta={ta} tb={tb} workers={workers}"),
+            )?;
         }
     }
 
@@ -264,8 +284,8 @@ proptest! {
         let reference = gemm::batched_matmul_reference(&a, &b_full).unwrap();
         let packed = PackedTensor::pack_batched(&b).unwrap();
         for workers in WORKER_COUNTS {
-            let tiled = gemm::batched_matmul_tiled(&a, &b_full, workers).unwrap();
-            assert_bits(&reference, &tiled, "batched_matmul_tiled")?;
+            let tiled = gemm::batched_matmul_t(&a, &b_full, false, false, workers).unwrap();
+            assert_bits(&reference, &tiled, "batched_matmul_t")?;
             let fast = gemm::batched_matmul_packed(&a, &packed, workers).unwrap();
             assert_bits(&reference, &fast, "batched_matmul_packed")?;
         }
@@ -353,10 +373,53 @@ fn non_finite_operands_propagate_through_all_paths() {
             check("matmul_packed ta", &gemm::matmul_packed(&at, &packed, true, workers).unwrap());
             check("matmul_packed tb", &gemm::matmul_packed(&a, &packed_t, false, workers).unwrap());
             check("from_shared_panels", &gemm::matmul_packed(&a, &shared, false, workers).unwrap());
-            let tiled3 = gemm::batched_matmul_tiled(&a3, &b3, workers).unwrap();
-            check("batched_matmul_tiled", &first(tiled3));
+            let tiled3 = gemm::batched_matmul_t(&a3, &b3, false, false, workers).unwrap();
+            check("batched_matmul_t", &first(tiled3));
             let prepacked3 = gemm::batched_matmul_packed(&a3, &packed3, workers).unwrap();
             check("batched_matmul_packed", &first(prepacked3));
         }
     }
+}
+
+/// Packs hold no padding: every slice is exactly `k · n` words under any
+/// blocking, including odd ones whose panels never divide `k` or `n`
+/// evenly (`kc` 17, `nc` 23). Such a tight pack, serialized and rebuilt
+/// zero-copy through `from_shared_panels`, multiplies bit-identically to
+/// the reference, rank-2 (both `B` transposes) and batched.
+#[test]
+fn tight_packs_under_odd_specs_round_trip_bit_identically() {
+    let spec = BlockSpec { mc: 33, kc: 17, nc: 23 };
+    let (e, m, k, n) = (3, 21, 70, 50);
+    let rebuild = |p: &PackedTensor| {
+        let owner: Arc<dyn BufOwner> = Arc::new(VecOwner(p.panel_data().to_vec()));
+        let words = p.panel_data().len();
+        let (batch, shape, t) = (p.batch(), p.src_shape().to_vec(), p.transposed());
+        PackedTensor::from_shared_panels(owner, 0, words, batch, p.k(), p.n(), p.spec(), shape, t).unwrap()
+    };
+    let a = random_tensor(vec![m, k], 31);
+    for tb in [false, true] {
+        let b = random_tensor(if tb { vec![n, k] } else { vec![k, n] }, 32);
+        let packed = PackedTensor::pack_with(&b, tb, spec, 2).unwrap();
+        assert_eq!(packed.panel_data().len(), k * n);
+        let shared = rebuild(&packed);
+        assert_eq!(shared.spec(), spec);
+        let reference = gemm::matmul_reference(&a, &b, false, tb).unwrap();
+        for workers in WORKER_COUNTS {
+            let y = gemm::matmul_packed(&a, &shared, false, workers).unwrap();
+            assert_eq!(y.data(), reference.data(), "tb={tb} workers={workers}");
+        }
+    }
+    let a3 = random_tensor(vec![e, m, k], 33);
+    let b3 = random_tensor(vec![e, k, n], 34);
+    let packed3 = PackedTensor::pack_batched_with(&b3, spec, 2).unwrap();
+    assert_eq!(packed3.panel_data().len(), e * k * n);
+    let reference = gemm::batched_matmul_reference(&a3, &b3).unwrap();
+    for workers in WORKER_COUNTS {
+        let y = gemm::batched_matmul_packed(&a3, &rebuild(&packed3), workers).unwrap();
+        assert_eq!(y.data(), reference.data(), "batched workers={workers}");
+    }
+    // A window sized for the old padded layout no longer describes a pack.
+    let padded = 17 * 23 * k.div_ceil(17) * n.div_ceil(23);
+    let owner: Arc<dyn BufOwner> = Arc::new(VecOwner(vec![0.0; padded]));
+    assert!(PackedTensor::from_shared_panels(owner, 0, padded, 1, k, n, spec, vec![k, n], false).is_err());
 }
