@@ -16,10 +16,7 @@
 //!   for `scripts/verify.sh`: fewer samples, no artifact, but the
 //!   bit-identity checks and the conservative speedup floors still apply.
 
-use std::time::Instant;
-
-use criterion::{Criterion, Summary};
-use lancet_bench::Json;
+use lancet_bench::{interleaved, Json, Summary};
 use lancet_tensor::gemm;
 use lancet_tensor::pool::default_workers;
 use lancet_tensor::{PackedTensor, Tensor, TensorRng};
@@ -58,11 +55,11 @@ const MIN_PREPACK_SPEEDUP: f64 = 1.15;
 /// multiply at least this much faster than a dense one of the same shape
 /// (half the multiply-adds are skipped; the recorded run is well above).
 const MIN_PADDED_SPEEDUP: f64 = 1.3;
-/// Alternating samples per side for the padded-vs-dense ratio (~25 ms per
-/// dense call).
+/// Samples per side for the padded-vs-dense ratio (~25 ms per dense
+/// call).
 const PADDED_SAMPLES: usize = 20;
-/// Alternating samples per side for the transposed batched rows (~2 ms
-/// per naive call).
+/// Samples per side for the transposed batched rows (~2 ms per naive
+/// call).
 const TRANSPOSED_SAMPLES: usize = 30;
 /// Floor for the transposed batched product against the naive kernel on
 /// a materialized transpose, enforced in both modes. Reading `Bᵀ` inside
@@ -72,9 +69,8 @@ const MIN_TRANSPOSED_SPEEDUP: f64 = 2.0;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // Ignore criterion-style filter args the harness does not implement.
-    let mut c = Criterion::default();
-    c.sample_size(if quick { 3 } else { 10 });
+    // Every group samples its sides alternately (see `interleaved`).
+    let samples = if quick { 3 } else { 10 };
 
     let mut rng = TensorRng::seed(42);
     let a = rng.uniform(vec![TOKENS, HIDDEN], -1.0, 1.0);
@@ -150,33 +146,27 @@ fn main() {
     }
     println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto)\n");
 
-    let mut group = c.benchmark_group("matmul_gpt2s_moe");
-    group.bench_function("naive", |bench| {
-        bench.iter(|| gemm::matmul_reference(&a, &b, false, false).unwrap())
-    });
-    group.bench_function("tiled", |bench| {
-        bench.iter(|| gemm::matmul_tiled(&a, &b, false, false, 1).unwrap())
-    });
-    group.bench_function("threaded", |bench| {
-        bench.iter(|| gemm::matmul_tiled(&a, &b, false, false, 0).unwrap())
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("batched_matmul_experts");
-    group.bench_function("naive", |bench| {
-        bench.iter(|| gemm::batched_matmul_reference(&xe, &we).unwrap())
-    });
-    group.bench_function("tiled", |bench| {
-        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())
-    });
-    group.bench_function("threaded", |bench| {
-        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 0).unwrap())
-    });
-    group.finish();
-
-    // Sampled alternately, like the padded rows below: at ~1 ms per call,
-    // back-to-back groups let one noisy phase of the host skew the ratio.
-    let transposed_rows = interleaved(
+    let matmul = interleaved(
+        "matmul_gpt2s_moe",
+        samples,
+        [
+            ("naive", &mut || drop(gemm::matmul_reference(&a, &b, false, false).unwrap())),
+            ("tiled", &mut || drop(gemm::matmul_tiled(&a, &b, false, false, 1).unwrap())),
+            ("threaded", &mut || drop(gemm::matmul_tiled(&a, &b, false, false, 0).unwrap())),
+        ],
+    );
+    let batched = interleaved(
+        "batched_matmul_experts",
+        samples,
+        [
+            ("naive", &mut || drop(gemm::batched_matmul_reference(&xe, &we).unwrap())),
+            ("tiled", &mut || drop(gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())),
+            ("threaded", &mut || drop(gemm::batched_matmul_t(&xe, &we, false, false, 0).unwrap())),
+        ],
+    );
+    // At ~1 ms per call one noisy phase of the host can skew a ratio, so
+    // this row takes more samples than the groups above.
+    let transposed = interleaved(
         "batched_transposed",
         TRANSPOSED_SAMPLES,
         [
@@ -189,36 +179,32 @@ fn main() {
     // Prepacked panels vs repack-per-call, at the decode-step shape (the
     // steady-state serving hot path, where packing dominates), the full
     // batch shape, and the batched expert stack.
-    let mut group = c.benchmark_group("matmul_step_prepack");
-    group.bench_function("repack", |bench| {
-        bench.iter(|| gemm::matmul_tiled(&a_step, &b, false, false, 1).unwrap())
-    });
-    group.bench_function("prepacked", |bench| {
-        bench.iter(|| gemm::matmul_packed(&a_step, &packed_b, false, 1).unwrap())
-    });
-    group.finish();
+    let step = interleaved(
+        "matmul_step_prepack",
+        samples,
+        [
+            ("repack", &mut || drop(gemm::matmul_tiled(&a_step, &b, false, false, 1).unwrap())),
+            ("prepacked", &mut || drop(gemm::matmul_packed(&a_step, &packed_b, false, 1).unwrap())),
+        ],
+    );
+    let batch = interleaved(
+        "matmul_batch_prepack",
+        samples,
+        [
+            ("repack", &mut || drop(gemm::matmul_tiled(&a, &b, false, false, 1).unwrap())),
+            ("prepacked", &mut || drop(gemm::matmul_packed(&a, &packed_b, false, 1).unwrap())),
+        ],
+    );
+    let experts_prepack = interleaved(
+        "batched_experts_prepack",
+        samples,
+        [
+            ("repack", &mut || drop(gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())),
+            ("prepacked", &mut || drop(gemm::batched_matmul_packed(&xe, &packed_we, 1).unwrap())),
+        ],
+    );
 
-    let mut group = c.benchmark_group("matmul_batch_prepack");
-    group.bench_function("repack", |bench| {
-        bench.iter(|| gemm::matmul_tiled(&a, &b, false, false, 1).unwrap())
-    });
-    group.bench_function("prepacked", |bench| {
-        bench.iter(|| gemm::matmul_packed(&a, &packed_b, false, 1).unwrap())
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("batched_experts_prepack");
-    group.bench_function("repack", |bench| {
-        bench.iter(|| gemm::batched_matmul_t(&xe, &we, false, false, 1).unwrap())
-    });
-    group.bench_function("prepacked", |bench| {
-        bench.iter(|| gemm::batched_matmul_packed(&xe, &packed_we, 1).unwrap())
-    });
-    group.finish();
-
-    // Dense vs half-padded expert buffers. The two are sampled alternately
-    // (not one after the other, as the groups above are) so a noisy phase
-    // of the host lands on both sides of the ratio the floor checks.
+    // Dense vs half-padded expert buffers.
     let experts = |x: &Tensor| drop(gemm::batched_matmul_packed(x, &packed_wp, 1).unwrap());
     let padded_rows = interleaved(
         "batched_experts_padded",
@@ -228,25 +214,21 @@ fn main() {
 
     // Chunk-parallel reduction op, for the where-does-the-time-go story.
     let scores = rng.uniform(vec![TOKENS * 12, TOKENS], -4.0, 4.0);
-    c.bench_function("softmax_attention_sized", |bench| bench.iter(|| scores.softmax_last()));
+    let softmax =
+        interleaved("softmax", samples, [("attention_sized", &mut || drop(scores.softmax_last()))]);
 
-    let speedup = |num: &str, den: &str| -> f64 {
-        let n = c.summary(num).expect("ran").min_ns;
-        let d = c.summary(den).expect("ran").min_ns;
-        n / d.max(1.0)
-    };
-    let tiled_vs_naive = speedup("matmul_gpt2s_moe/naive", "matmul_gpt2s_moe/tiled");
-    let threaded_vs_naive = speedup("matmul_gpt2s_moe/naive", "matmul_gpt2s_moe/threaded");
-    let batched_tiled = speedup("batched_matmul_experts/naive", "batched_matmul_experts/tiled");
-    let batched_threaded =
-        speedup("batched_matmul_experts/naive", "batched_matmul_experts/threaded");
-    let transposed_tiled = transposed_rows[0].min_ns / transposed_rows[1].min_ns.max(1.0);
-    let transposed_threaded = transposed_rows[0].min_ns / transposed_rows[2].min_ns.max(1.0);
-    let prepack_step = speedup("matmul_step_prepack/repack", "matmul_step_prepack/prepacked");
-    let prepack_batch = speedup("matmul_batch_prepack/repack", "matmul_batch_prepack/prepacked");
-    let prepack_experts =
-        speedup("batched_experts_prepack/repack", "batched_experts_prepack/prepacked");
-    let padded = padded_rows[0].min_ns / padded_rows[1].min_ns.max(1.0);
+    // Min-over-min ratio of two rows.
+    let speedup = |num: &Summary, den: &Summary| num.min_ns / den.min_ns.max(1.0);
+    let tiled_vs_naive = speedup(&matmul[0], &matmul[1]);
+    let threaded_vs_naive = speedup(&matmul[0], &matmul[2]);
+    let batched_tiled = speedup(&batched[0], &batched[1]);
+    let batched_threaded = speedup(&batched[0], &batched[2]);
+    let transposed_tiled = speedup(&transposed[0], &transposed[1]);
+    let transposed_threaded = speedup(&transposed[0], &transposed[2]);
+    let prepack_step = speedup(&step[0], &step[1]);
+    let prepack_batch = speedup(&batch[0], &batch[1]);
+    let prepack_experts = speedup(&experts_prepack[0], &experts_prepack[1]);
+    let padded = speedup(&padded_rows[0], &padded_rows[1]);
 
     println!();
     println!("speedup over naive (min-of-samples):");
@@ -289,7 +271,7 @@ fn main() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
             path,
-            c.summaries().iter().chain(&transposed_rows).chain(&padded_rows),
+            [matmul, batched, transposed, step, batch, experts_prepack, padded_rows, softmax].concat(),
             &[
                 ("matmul_tiled_vs_naive", tiled_vs_naive),
                 ("matmul_threaded_vs_naive", threaded_vs_naive),
@@ -321,54 +303,8 @@ fn transpose_slices(x: &Tensor) -> Tensor {
     Tensor::from_vec(vec![e, c, r], out).unwrap()
 }
 
-/// Times each named closure `samples` times, round-robin (one call of
-/// each per round, after one warmup round), and reports them as
-/// `group/name` summaries like the criterion shim's.
-fn interleaved<const N: usize>(
-    group: &str,
-    samples: usize,
-    mut fs: [(&str, &mut dyn FnMut()); N],
-) -> Vec<Summary> {
-    let mut times = [(); N].map(|_| Vec::with_capacity(samples));
-    for round in 0..=samples {
-        for ((_, f), t) in fs.iter_mut().zip(&mut times) {
-            let start = Instant::now();
-            f();
-            if round > 0 {
-                t.push(start.elapsed().as_secs_f64() * 1e9);
-            }
-        }
-    }
-    fs.iter()
-        .zip(&times)
-        .map(|((name, _), t)| {
-            let s = Summary {
-                name: format!("{group}/{name}"),
-                mean_ns: t.iter().sum::<f64>() / samples as f64,
-                min_ns: t.iter().copied().fold(f64::INFINITY, f64::min),
-                samples,
-            };
-            let (mean, min) = (s.mean_ns / 1e6, s.min_ns / 1e6);
-            println!("{:<44} mean {mean:>10.3} ms   min {min:>10.3} ms", s.name);
-            s
-        })
-        .collect()
-}
-
-fn write_artifact<'a>(
-    path: &str,
-    summaries: impl Iterator<Item = &'a Summary>,
-    speedups: &[(&str, f64)],
-) {
+fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)]) {
     let dims = |d: &[usize]| Json::arr(d.iter().map(|&v| v.into()));
-    let rows = summaries.map(|s| {
-        Json::obj([
-            ("name", s.name.as_str().into()),
-            ("mean_ns", Json::fixed(s.mean_ns, 1)),
-            ("min_ns", Json::fixed(s.min_ns, 1)),
-            ("samples", s.samples.into()),
-        ])
-    });
     Json::obj([
         ("bench", "kernels".into()),
         (
@@ -383,7 +319,7 @@ fn write_artifact<'a>(
         ),
         ("workers_auto", default_workers().into()),
         ("avx2", std::arch::is_x86_feature_detected!("avx2").into()),
-        ("results", Json::arr(rows)),
+        ("results", Json::arr(rows.iter().map(Summary::to_json))),
         // One speedup per line: verify.sh greps `prepacked_vs_repack_step`.
         (
             "speedups_min_over_min",

@@ -21,8 +21,7 @@
 
 use std::time::Duration;
 
-use criterion::Criterion;
-use lancet_bench::Json;
+use lancet_bench::{interleaved, Json, Summary};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_core::{Lancet, LancetOptions};
 use lancet_ir::GateKind;
@@ -35,7 +34,7 @@ use lancet_tensor::Tensor;
 /// Steady-state serving must beat cold optimize-per-request by at least
 /// this factor per request (the plan cache's reason to exist).
 const MIN_SPEEDUP: f64 = 5.0;
-/// Requests per steady-state burst (one criterion iteration).
+/// Requests per steady-state burst (one timed call).
 const BURST: usize = 12;
 
 /// Serving-scaled GPT2-S-MoE: the paper model's hidden/FFN/head geometry
@@ -51,8 +50,7 @@ fn serving_scaled_gpt2s(quick: bool) -> GptMoeConfig {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut c = Criterion::default();
-    c.sample_size(if quick { 2 } else { 4 });
+    let samples = if quick { 2 } else { 4 };
 
     let cluster = ClusterKind::A100;
     let cfg = serving_scaled_gpt2s(quick);
@@ -100,14 +98,6 @@ fn main() {
     let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
     let canonical = canonical_weights(&normalized, config.seed).unwrap();
     let solo_ids = Tensor::from_vec(vec![1, cfg.seq], trace[0].ids.clone()).unwrap();
-    c.bench_function("serve/cold_optimize_per_request", |b| {
-        b.iter(|| {
-            let lancet =
-                Lancet::new(ClusterSpec::of(cluster, 1), cfg.gpus, LancetOptions::default());
-            let plan = Plan::build(&lancet, &normalized, 1, &canonical).unwrap();
-            plan.execute(&solo_ids).unwrap()
-        })
-    });
 
     // Steady state: closed bursts through a warm plan cache. Warm every
     // power-of-two bucket first so the measurement sees only hits.
@@ -122,19 +112,29 @@ fn main() {
         });
         bucket *= 2;
     }
-    c.bench_function("serve/steady_state_burst", |b| {
-        b.iter(|| {
-            let tickets: Vec<_> = (0..BURST)
-                .map(|i| runtime.submit(&cfg.name, trace[i].ids.clone()).unwrap())
-                .collect();
-            tickets.into_iter().for_each(|t| {
-                t.wait().unwrap();
-            });
-        })
-    });
+    let rows = interleaved(
+        "serve",
+        samples,
+        [
+            ("cold_optimize_per_request", &mut || {
+                let lancet =
+                    Lancet::new(ClusterSpec::of(cluster, 1), cfg.gpus, LancetOptions::default());
+                let plan = Plan::build(&lancet, &normalized, 1, &canonical).unwrap();
+                drop(plan.execute(&solo_ids).unwrap());
+            }),
+            ("steady_state_burst", &mut || {
+                let tickets: Vec<_> = (0..BURST)
+                    .map(|i| runtime.submit(&cfg.name, trace[i].ids.clone()).unwrap())
+                    .collect();
+                tickets.into_iter().for_each(|t| {
+                    t.wait().unwrap();
+                });
+            }),
+        ],
+    );
 
-    let cold_ns = c.summary("serve/cold_optimize_per_request").expect("ran").min_ns;
-    let steady_ns = c.summary("serve/steady_state_burst").expect("ran").min_ns / BURST as f64;
+    let cold_ns = rows[0].min_ns;
+    let steady_ns = rows[1].min_ns / BURST as f64;
     let speedup = cold_ns / steady_ns.max(1.0);
     println!("\nper-request: cold {:.1} ms, steady {:.1} ms — {speedup:.1}x", cold_ns / 1e6, steady_ns / 1e6);
     assert!(
@@ -161,14 +161,6 @@ fn main() {
     );
 
     if !quick {
-        let rows = c.summaries().iter().map(|s| {
-            Json::obj([
-                ("name", s.name.as_str().into()),
-                ("mean_ns", Json::fixed(s.mean_ns, 1)),
-                ("min_ns", Json::fixed(s.min_ns, 1)),
-                ("samples", s.samples.into()),
-            ])
-        });
         let artifact = Json::obj([
             ("bench", "serve".into()),
             (
@@ -190,7 +182,7 @@ fn main() {
                     ("burst", BURST.into()),
                 ]),
             ),
-            ("results", Json::arr(rows)),
+            ("results", Json::arr(rows.iter().map(Summary::to_json))),
             (
                 "per_request_ms",
                 Json::obj([

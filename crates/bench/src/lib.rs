@@ -13,8 +13,10 @@
 
 pub mod figs;
 mod record;
+mod timer;
 
 pub use record::{save_json, Json, Record};
+pub use timer::{interleaved, Summary};
 
 use lancet_cost::ClusterKind;
 use lancet_ir::GateKind;

@@ -219,6 +219,7 @@ mod tests {
     #[test]
     fn recompute_preserves_instruction_semantics_numerically() {
         use lancet_exec::{Bindings, Executor};
+        use lancet_tensor::det::name_seed;
         use lancet_tensor::{Tensor, TensorRng};
         let devices = 2;
         let cfg = GptMoeConfig::tiny(devices, GateKind::Switch);
@@ -230,11 +231,6 @@ mod tests {
         .unwrap();
         // Bind weights by *name* (stable across the rebuild, which
         // renumbers tensor ids).
-        let name_seed = |name: &str| -> u64 {
-            name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-            })
-        };
         let bind = move |g: &Graph| -> Bindings {
             let mut b = Bindings::new(devices);
             for t in g.tensors() {

@@ -11,14 +11,9 @@ use lancet_cost::ClusterSpec;
 use lancet_exec::{Bindings, Executor};
 use lancet_ir::{BackwardOptions, GateKind, Graph, Op, TensorId, TensorKind};
 use lancet_models::{build_forward, GptMoeConfig};
+use lancet_tensor::det::name_seed;
 use lancet_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
-
-fn name_seed(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
 
 /// Binds weights deterministically by *name* (stable across graph
 /// rewrites that renumber tensor ids) and inputs per device.

@@ -49,8 +49,8 @@ use lancet_core::{Lancet, LancetOptions};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_models::GptMoeConfig;
 use lancet_serve::{
-    canonical_weights, CanonicalWeights, FaultInjector, FaultSpec, Metrics, Plan, PlanCache,
-    PlanKey, Result, ServeError, ServeStats,
+    canonical_weights, resolve_queue_depth, CanonicalWeights, FaultInjector, FaultSpec, Metrics,
+    Plan, PlanCache, PlanKey, Result, ServeError, ServeStats,
 };
 use lancet_tensor::Tensor;
 
@@ -88,8 +88,11 @@ pub struct DecodeConfig {
     /// continuous batch (`None` → `LANCET_DECODE_STEP_DEADLINE_MS` → 0,
     /// i.e. never wait). Trades a bounded ITL bump for larger steps.
     pub step_deadline: Option<Duration>,
-    /// Admission queue bound (0 → 256); excess submissions are rejected
-    /// with [`ServeError::Overloaded`].
+    /// Admission queue bound (0 → `LANCET_SERVE_QUEUE_DEPTH` → 256), the
+    /// same resolution as [`ServeConfig::queue_depth`]; excess submissions
+    /// are rejected with [`ServeError::Overloaded`].
+    ///
+    /// [`ServeConfig::queue_depth`]: lancet_serve::ServeConfig::queue_depth
     pub queue_depth: usize,
     /// Prefill through cached seq-bucketed plans (`true`) or always
     /// eagerly per prompt (`false`).
@@ -162,7 +165,7 @@ impl Limits {
             max_inflight: resolve(cfg.max_inflight, "LANCET_DECODE_INFLIGHT", 8),
             kv_capacity_tokens: resolve(cfg.kv_capacity_tokens, "LANCET_DECODE_KV_TOKENS", 4096),
             step_deadline,
-            queue_depth: resolve(cfg.queue_depth, "LANCET_SERVE_QUEUE_DEPTH", 256),
+            queue_depth: resolve_queue_depth(cfg.queue_depth),
             prefill_buckets: cfg.prefill_buckets,
             max_retries: cfg.max_retries,
             retry_backoff: cfg.retry_backoff,
@@ -345,6 +348,12 @@ impl DecodeRuntime {
         let (handle, ticket) = stream_channel();
         {
             let mut q = self.shared.queue.lock().unwrap();
+            // `shutdown` sets its flag under this lock, so the scheduler's
+            // last drain finds anything pushed here; the check above only
+            // fails fast.
+            if self.shared.shutting_down.load(Ordering::SeqCst) {
+                return Err(ServeError::ShuttingDown);
+            }
             if q.len() >= self.shared.limits.queue_depth {
                 self.shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::Overloaded { depth: self.shared.limits.queue_depth });
@@ -374,7 +383,12 @@ impl DecodeRuntime {
     /// served, new submissions are refused with
     /// [`ServeError::ShuttingDown`].
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        {
+            // Under the queue lock: the scheduler checks the flag there
+            // before it exits, and `submit` before it pushes.
+            let _queue = self.shared.queue.lock().unwrap();
+            self.shared.shutting_down.store(true, Ordering::SeqCst);
+        }
         self.shared.cv.notify_all();
         if let Some(h) = self.scheduler.lock().unwrap().take() {
             let _ = h.join();

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use lancet_serve::Lcg;
+use lancet_tensor::det::Lcg;
 
 use crate::runtime::DecodeRuntime;
 use crate::stream::StreamTicket;

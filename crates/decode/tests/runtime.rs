@@ -275,3 +275,32 @@ fn step_deadline_trades_itl_for_joins() {
         assert_eq!(got, &solo_tokens(&model, prompt, *max_new));
     }
 }
+
+/// The decode twin of serve's crash race: `submit` once checked the
+/// shutdown flag outside the queue lock, and `shutdown` stored it outside
+/// too. A request pushed after the scheduler's last drain was never
+/// served, and its stream never ended. Four submitters spin against a
+/// shutdown that lands 2–6 ms in; every accepted stream must finish. A
+/// one-deep queue keeps the final drain short, so the race stays wide:
+/// the old code lost a stream in 7–24 of 100 rounds.
+#[test]
+fn submit_racing_shutdown_loses_no_stream() {
+    let cfg = tiny();
+    for round in 0..100 {
+        let runtime = DecodeRuntime::start(DecodeConfig { queue_depth: 1, ..DecodeConfig::default() });
+        runtime.register_model(cfg.clone()).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (runtime, cfg) = (&runtime, &cfg);
+                s.spawn(move || {
+                    while let Ok(_) | Err(ServeError::Overloaded { .. }) =
+                        runtime.submit(&cfg.name, &[t + 1, 2], 1)
+                    {}
+                });
+            }
+            std::thread::sleep(Duration::from_millis(2 + round % 5));
+            runtime.shutdown();
+        });
+        assert_eq!(runtime.stats().outstanding(), 0, "round {round}: an accepted stream was lost");
+    }
+}

@@ -11,18 +11,14 @@
 
 use lancet_exec::{eval_op, Bindings, Executor};
 use lancet_ir::{Graph, Op, Role};
+use lancet_tensor::det::{self, Lcg};
 use lancet_tensor::Tensor;
 
 /// Deterministic pseudo-random fill in [-1, 1).
 fn filled(shape: Vec<usize>, seed: u64) -> Tensor {
     let volume: usize = shape.iter().product();
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let data = (0..volume)
-        .map(|_| {
-            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-        })
-        .collect();
+    let mut lcg = Lcg::from_state(seed ^ det::GAMMA);
+    let data = (0..volume).map(|_| (det::unit_f64(lcg.next_u64()) * 2.0 - 1.0) as f32).collect();
     Tensor::from_vec(shape, data).expect("volume matches")
 }
 

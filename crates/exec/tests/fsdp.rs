@@ -6,16 +6,11 @@
 use lancet_exec::{Bindings, Executor};
 use lancet_ir::{build_backward, BackwardOptions, GateKind, Graph, Op, TensorId, TensorKind};
 use lancet_models::{build_forward, GptMoeConfig};
+use lancet_tensor::det::name_seed;
 use lancet_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
 
 const DEVICES: usize = 2;
-
-fn name_seed(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
 
 /// Deterministic full-weight value, keyed by the *base* name (shared
 /// between the replicated tensor and its FSDP shards).

@@ -5,6 +5,7 @@
 use lancet_exec::{init_weights, Bindings, Executor};
 use lancet_ir::{build_backward, BackwardOptions, Graph, Op, TensorKind};
 use lancet_models::{build_forward, GptMoeConfig};
+use lancet_tensor::det::name_seed;
 use lancet_tensor::{Tensor, TensorRng};
 
 const DEVICES: usize = 2;
@@ -112,11 +113,6 @@ fn mixtral_partitioned_pipeline_preserves_loss() {
     build_backward(&mut part, &BackwardOptions::default()).unwrap();
 
     // Name-keyed deterministic binding so both graphs see identical data.
-    let name_seed = |name: &str| -> u64 {
-        name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        })
-    };
     let bind_named = |g: &Graph| -> Bindings {
         let mut b = Bindings::new(DEVICES);
         for t in g.tensors() {

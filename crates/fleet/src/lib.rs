@@ -43,7 +43,7 @@ use lancet_serve::{
     CanonicalWeights, PackSet, PlanKey, Result, ServeConfig, ServeError, ServeRuntime,
     ServeStats, Ticket,
 };
-use lancet_tensor::Tensor;
+use lancet_tensor::{det, Tensor};
 
 /// Fallback replica count when neither [`FleetConfig::replicas`] nor
 /// `LANCET_REPLICAS` specifies one.
@@ -429,15 +429,20 @@ impl Fleet {
 /// SplitMix64-style mix of the routing key and the replica index.
 /// Deterministic across processes by construction.
 fn hrw_score(key: u64, replica: u64) -> u64 {
-    let mut h = key ^ replica.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    det::mix64(key ^ replica.wrapping_mul(det::GAMMA))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hrw_score_is_pinned() {
+        // Recorded before the mixer moved to `lancet_tensor::det`: routing
+        // must survive refactors, or every restart re-scatters traffic.
+        let got = [(0, 0), (1, 2), (0xdead_beef, 3), (u64::MAX, 7)].map(|(k, r)| hrw_score(k, r));
+        assert_eq!(got, [0, 0xbeeb_8da1_658e_ec67, 0xf680_a609_a2ad_52f3, 0x8bde_40ab_8762_3c48]);
+    }
 
     #[test]
     fn hrw_is_deterministic_and_spreads() {

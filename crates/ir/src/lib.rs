@@ -53,7 +53,7 @@ pub use op::Op;
 pub use text::{summarize, to_text};
 pub use types::{GateKind, InstrId, Role, TensorId, TensorKind};
 
-pub use lancet_tensor::Shape;
+pub use lancet_tensor::{det, Shape};
 
 /// Result alias for fallible IR operations.
 pub type Result<T> = std::result::Result<T, IrError>;

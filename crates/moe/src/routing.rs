@@ -6,7 +6,7 @@
 
 use crate::{CapacityState, MoeError, Result};
 use lancet_ir::GateKind;
-use lancet_tensor::Tensor;
+use lancet_tensor::{det, Tensor};
 
 /// The outcome of routing a sequence of tokens.
 ///
@@ -119,12 +119,9 @@ fn top_k(row: &[f32], k: usize) -> Vec<usize> {
 /// Random/hash gates must assign experts from per-token information only
 /// (not batch position), otherwise micro-batching would change routing.
 fn token_hash(row: &[f32], seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for &v in row {
-        h ^= u64::from(v.to_bits());
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    row.iter().fold(det::FNV_OFFSET ^ seed, |h, v| {
+        det::fnv1a_step(h, u64::from(v.to_bits()), det::FNV_PRIME_WIDE)
+    })
 }
 
 /// Routes tokens to experts under the given gate.
@@ -296,6 +293,14 @@ pub fn route_direct_microbatch(
 mod tests {
     use super::*;
     use lancet_tensor::TensorRng;
+
+    #[test]
+    fn token_hash_is_pinned() {
+        // Recorded before FNV-1a moved to `lancet_tensor::det`: hash gates
+        // route by this value.
+        assert_eq!(token_hash(&[0.5, -1.25, 3.0], 7), 0x9d3e_74a7_1837_33b6);
+        assert_eq!(token_hash(&[f32::MIN_POSITIVE], u64::MAX), 0x508d_07b2_a07e_466e);
+    }
 
     fn logits(t: usize, e: usize, seed: u64) -> Tensor {
         TensorRng::seed(seed).uniform(vec![t, e], -2.0, 2.0)

@@ -19,6 +19,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use lancet_tensor::det;
+
 /// Probabilities and magnitudes of the faults to inject, plus the seed
 /// all decisions derive from. All probabilities are per injection-site
 /// *opportunity* (one batch execution, one plan build, …), in `[0, 1]`.
@@ -97,13 +99,7 @@ const SITE_SALTS: [u64; 5] = [0x51c3_a11d, 0x9a21_c001, 0xe8ec_fa17, 0x91a2_bad5
 
 /// SplitMix64 hash of `(seed, salt, seq)` to a unit float.
 fn unit(seed: u64, salt: u64, seq: u64) -> f64 {
-    let mut z = seed
-        ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ seq.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    det::unit_f64(det::mix64(seed ^ salt.wrapping_mul(det::GAMMA) ^ seq.wrapping_mul(det::MIX_M1)))
 }
 
 /// A seeded source of fault decisions, shared by the batcher and every
@@ -171,6 +167,15 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_draws_are_pinned() {
+        // Recorded before the mixer moved to `lancet_tensor::det`: the
+        // chaos replays key on these draws.
+        let got = [(0, 0, 0), (7, SITE_SALTS[0], 1), (0xc4a05, SITE_SALTS[4], 99)]
+            .map(|(seed, salt, seq)| unit(seed, salt, seq).to_bits());
+        assert_eq!(got, [0, 0x3fe3_4c85_91f2_becf, 0x3fe6_8788_710f_721a]);
+    }
 
     #[test]
     fn quiet_spec_never_fires() {

@@ -21,7 +21,7 @@ use lancet_core::{Lancet, OptimizerStats};
 use lancet_exec::{init_weights, Bindings, Executor, PrepackStats};
 use lancet_ir::{Op, TensorId};
 use lancet_models::{build_forward, GptMoeConfig, LayerKv};
-use lancet_tensor::{PackedTensor, Tensor};
+use lancet_tensor::{det, PackedTensor, Tensor};
 
 use crate::{Result, ServeError};
 
@@ -56,13 +56,8 @@ impl PlanKey {
     /// never be used on the routing path; this encoding is pinned by a
     /// regression test on its literal value.
     pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = det::FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = det::fnv1a_extend(h, bytes, det::FNV_PRIME);
         eat(self.model.as_bytes());
         eat(&[0xFF]); // field separator: a name can't contain 0xFF (UTF-8)
         eat(&(self.bucket as u64).to_le_bytes());

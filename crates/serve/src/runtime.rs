@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use lancet_core::{Lancet, LancetOptions};
 use lancet_cost::{optimize_placement, ClusterKind, ClusterSpec, ExpertTraffic, PlacementOptions, PlacementPlan};
 use lancet_models::GptMoeConfig;
-use lancet_tensor::{pool, Tensor};
+use lancet_tensor::{det, pool, Tensor};
 
 use crate::cache::PlanCache;
 use crate::fault::{FaultInjector, FaultSpec};
@@ -52,13 +52,25 @@ use crate::{Result, ServeError};
 /// `LANCET_SERVE_QUEUE_DEPTH` specifies one.
 const DEFAULT_QUEUE_DEPTH: usize = 256;
 
-/// `LANCET_SERVE_QUEUE_DEPTH`, parsed per call (tests mutate it).
-/// Unset, empty, unparsable, or `0` all mean "use the default".
-fn env_queue_depth() -> Option<usize> {
-    std::env::var("LANCET_SERVE_QUEUE_DEPTH")
-        .ok()
+/// The admission-queue bound of the serve and decode runtimes:
+/// `configured` when nonzero, else `LANCET_SERVE_QUEUE_DEPTH` (read per
+/// call; tests mutate it), else 256.
+pub fn resolve_queue_depth(configured: usize) -> usize {
+    if configured > 0 {
+        configured
+    } else {
+        parse_queue_depth(std::env::var("LANCET_SERVE_QUEUE_DEPTH").ok().as_deref())
+    }
+}
+
+/// A `LANCET_SERVE_QUEUE_DEPTH` value as a depth. Unset, empty,
+/// unparsable, or `0` all mean the default; surrounding whitespace is
+/// ignored.
+fn parse_queue_depth(value: Option<&str>) -> usize {
+    value
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
+        .unwrap_or(DEFAULT_QUEUE_DEPTH)
 }
 
 /// Serving-runtime knobs.
@@ -248,6 +260,20 @@ struct Shared {
     injector: Option<FaultInjector>,
 }
 
+impl Shared {
+    /// `Ok` while the runtime accepts requests. Authoritative only under
+    /// the admission lock, where `crash` and `shutdown` set the flags.
+    fn admitting(&self) -> Result<()> {
+        if self.crashed.load(Ordering::Acquire) {
+            Err(ServeError::Crashed)
+        } else if self.shutting_down.load(Ordering::Acquire) {
+            Err(ServeError::ShuttingDown)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// Handles to the runtime's threads, held until shutdown.
 struct Threads {
     batcher: JoinHandle<()>,
@@ -273,11 +299,7 @@ impl ServeRuntime {
     /// of exec workers. Models are registered afterwards with
     /// [`register_model`](Self::register_model).
     pub fn start(config: ServeConfig) -> Arc<ServeRuntime> {
-        let queue_depth = if config.queue_depth > 0 {
-            config.queue_depth
-        } else {
-            env_queue_depth().unwrap_or(DEFAULT_QUEUE_DEPTH)
-        };
+        let queue_depth = resolve_queue_depth(config.queue_depth);
         let exec_workers = pool::resolve_workers(config.exec_workers);
         let injector = config.fault.clone().map(FaultInjector::new);
         if injector.is_some() {
@@ -451,12 +473,7 @@ impl ServeRuntime {
     /// bound, or [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, ids: Vec<f32>) -> Result<Ticket> {
         let shared = &self.shared;
-        if shared.crashed.load(Ordering::Acquire) {
-            return Err(ServeError::Crashed);
-        }
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
+        shared.admitting()?;
         let entry = {
             let models = shared.models.read().expect("models lock");
             models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
@@ -479,6 +496,10 @@ impl ServeRuntime {
         let slot = Arc::new(ResponseSlot::new());
         {
             let mut queue = shared.admission.lock().expect("admission lock");
+            // `crash` and `shutdown` set their flags under this lock, so a
+            // request pushed here is one their drains will find; the check
+            // above only fails fast.
+            shared.admitting()?;
             if queue.len() >= shared.queue_depth {
                 shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::Overloaded { depth: shared.queue_depth });
@@ -489,8 +510,10 @@ impl ServeRuntime {
                 enqueued: Instant::now(),
                 slot: Arc::clone(&slot),
             });
+            // Counted before the lock drops, so a crash drain can never
+            // answer a request that is not yet counted as submitted.
+            shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         }
-        shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         shared.admitted.notify_all();
         Ok(Ticket { slot })
     }
@@ -862,11 +885,7 @@ fn hot_expert(ids: &[f32], experts: usize) -> usize {
     let experts = experts.max(1);
     let mut counts = vec![0u32; experts];
     for &id in ids {
-        let mut h = (id.to_bits() as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        counts[(h % experts as u64) as usize] += 1;
+        counts[(det::splitmix64(id.to_bits() as u64) % experts as u64) as usize] += 1;
     }
     let mut best = 0;
     for (i, &c) in counts.iter().enumerate() {
@@ -1097,6 +1116,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn hot_expert_is_pinned() {
+        // Recorded before the mixer moved to `lancet_tensor::det`.
+        let solo: Vec<usize> = (0..12).map(|id| hot_expert(&[id as f32], 97)).collect();
+        assert_eq!(solo, [49, 18, 45, 57, 68, 50, 26, 33, 77, 21, 48, 27]);
+        assert_eq!(hot_expert(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], 5), 3);
+    }
+
+    #[test]
     fn buckets_are_powers_of_two() {
         assert_eq!(bucket_for(0), 1);
         assert_eq!(bucket_for(1), 1);
@@ -1106,9 +1133,20 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_env_parsing() {
-        // Only exercises the parse helper (process-global env mutation
-        // is unsafe under parallel tests).
-        assert_eq!(env_queue_depth().or(Some(DEFAULT_QUEUE_DEPTH)).map(|d| d > 0), Some(true));
+    fn queue_depth_values_parse_or_fall_back() {
+        // The pure parser; `tests/env_and_errors.rs` drives the env var
+        // itself through a runtime.
+        let cases = [
+            (None, 256),
+            (Some(""), 256),
+            (Some(" 12 "), 12),
+            (Some("0"), 256),
+            (Some("-3"), 256),
+            (Some("abc"), 256),
+            (Some("18446744073709551616"), 256), // overflows usize
+        ];
+        for (value, want) in cases {
+            assert_eq!(parse_queue_depth(value), want, "{value:?}");
+        }
     }
 }

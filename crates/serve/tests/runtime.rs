@@ -369,3 +369,43 @@ fn affinity_multi_worker_accounts_every_request() {
         stats.placement_misses
     );
 }
+
+/// Regression for lost tickets: `submit` once checked `crashed` before it
+/// took the admission lock, so a request could be pushed after `crash`
+/// had drained the queue. Nothing ever answered it, and its
+/// `Ticket::wait` hung. Four submitters spin against a crash that lands
+/// 2–6 ms in; every admitted request must be answered in every round.
+/// No batch ever forms (the queue holds fewer requests than `max_batch`
+/// and the window outlasts the round), so `crash` drains at once and the
+/// race stays wide: the old check lost a ticket in about a quarter of
+/// the rounds.
+#[test]
+fn submit_racing_crash_loses_no_ticket() {
+    let cfg = tiny();
+    for round in 0..100 {
+        let runtime = ServeRuntime::start(ServeConfig {
+            queue_depth: 64,
+            exec_workers: 1,
+            max_batch: 1024,
+            batch_window: Duration::from_secs(60),
+            ..ServeConfig::default()
+        });
+        runtime.register_model(cfg.clone()).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (runtime, cfg) = (&runtime, &cfg);
+                s.spawn(move || {
+                    let mut i = t * 100_000;
+                    while let Ok(_) | Err(ServeError::Overloaded { .. }) =
+                        runtime.submit(&cfg.name, ids_for(i, cfg))
+                    {
+                        i += 1;
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_millis(2 + round % 5));
+            runtime.crash();
+        });
+        assert_eq!(runtime.stats().outstanding(), 0, "round {round}: an admitted ticket was lost");
+    }
+}

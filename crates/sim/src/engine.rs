@@ -2,7 +2,7 @@
 
 use crate::{estimate_peak_memory, FaultSummary, SimConfig, SimReport, Stream, TimelineEvent};
 use lancet_cost::{CommModel, ComputeModel};
-use lancet_ir::{Graph, Op, Shape, TensorId};
+use lancet_ir::{det, Graph, Op, Shape, TensorId};
 use std::collections::HashMap;
 
 /// Simulates training-iteration graphs on a cluster.
@@ -57,11 +57,11 @@ pub struct SimStats {
 /// Deterministic xorshift sampler for irregular loads (no external RNG
 /// dependency needed for a simulation jitter source).
 fn jitter_unit(seed: u64, salt: u64) -> f64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x2545_f491_4f6c_dd1d;
+    let mut x = seed ^ salt.wrapping_mul(det::GAMMA) ^ 0x2545_f491_4f6c_dd1d;
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    det::unit_f64(x)
 }
 
 impl Simulator {
@@ -437,6 +437,13 @@ mod tests {
     use super::*;
     use lancet_cost::ClusterSpec;
     use lancet_ir::Role;
+
+    #[test]
+    fn jitter_unit_is_pinned() {
+        // Recorded before the unit draw moved to `lancet_tensor::det`.
+        let got = [(0, 0), (42, 7), (u64::MAX, 1 << 20)].map(|(seed, salt)| jitter_unit(seed, salt).to_bits());
+        assert_eq!(got, [0x3fdf_db0a_02fa_aa38, 0x3fe1_2a6b_a595_7f33, 0x3faf_192e_749f_f4b0]);
+    }
 
     fn sim(gpus: usize) -> Simulator {
         let spec = ClusterSpec::v100(gpus.div_ceil(8));

@@ -27,6 +27,8 @@
 //! **bit-identical** [`SimReport`](crate::SimReport) on every run — the
 //! property the chaos-conformance suite asserts.
 
+use lancet_ir::det;
+
 /// One kind of injected fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
@@ -106,13 +108,7 @@ const SALT_DROP: u64 = 0xd40f_11e5;
 /// SplitMix64-style hash of `(seed, salt, position)` to a unit float —
 /// the deterministic randomness source behind jitter and drop decisions.
 fn unit(seed: u64, salt: u64, pos: u64) -> f64 {
-    let mut z = seed
-        ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ pos.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    det::unit_f64(det::mix64(seed ^ salt.wrapping_mul(det::GAMMA) ^ pos.wrapping_mul(det::MIX_M1)))
 }
 
 impl FaultPlan {
@@ -240,6 +236,14 @@ impl FaultSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_draws_are_pinned() {
+        // Recorded before the mixer moved to `lancet_tensor::det`.
+        let got = [(0, 0, 0), (11, SALT_JITTER, 3), (0xfa11, SALT_DROP, 1 << 40)]
+            .map(|(seed, salt, pos)| unit(seed, salt, pos).to_bits());
+        assert_eq!(got, [0, 0x3fc4_12ce_c401_27ec, 0x3fad_3e53_0292_2560]);
+    }
 
     #[test]
     fn windows_gate_activity() {

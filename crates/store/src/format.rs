@@ -55,18 +55,11 @@ pub fn align_up(off: u64) -> u64 {
     off.div_ceil(ALIGN as u64) * ALIGN as u64
 }
 
-/// FNV-1a 64-bit over a byte slice — the store's integrity checksum.
+/// The store's integrity checksum: FNV-1a-64 over a byte slice.
 /// Deterministic, dependency-free, and fast enough to cover the TOC on
 /// every open (the data section is covered on demand; see
 /// [`crate::OpenOptions::verify_data`]).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use lancet_tensor::det::fnv1a;
 
 /// Parsed store header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -417,7 +410,7 @@ mod tests {
     #[test]
     fn fnv1a_is_stable() {
         // Regression pin: the checksum function is part of the format.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"lancet"), fnv1a(b"lancet"));
         assert_ne!(fnv1a(b"lancet"), fnv1a(b"lancer"));
     }

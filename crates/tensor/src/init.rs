@@ -1,6 +1,6 @@
 //! Deterministic random initialization for tensors.
 
-use crate::Tensor;
+use crate::{det, Tensor};
 
 /// A seeded random number generator for reproducible tensor
 /// initialization (SplitMix64 under the hood — no external dependency,
@@ -29,11 +29,8 @@ impl TensorRng {
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(det::GAMMA);
+        det::mix64(self.state)
     }
 
     /// Uniformly distributed elements in `[lo, hi)`.

@@ -25,6 +25,7 @@
 //! # Ok::<(), lancet_tensor::TensorError>(())
 //! ```
 
+pub mod det;
 mod error;
 pub mod gemm;
 mod init;

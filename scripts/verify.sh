@@ -4,6 +4,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> one copy of the FNV-1a and SplitMix64 constants"
+# The hashing and PRNG arithmetic lives in lancet_tensor::det; a new
+# hand-rolled copy of the FNV offset basis or the SplitMix64 multiplier
+# anywhere else in the workspace fails here. perfbench/ is outside the
+# search on purpose: its inputs must not depend on the code under test.
+if grep -rniE 'cbf2_?9ce4_?8422_?2325|bf58_?476d_?1ce4_?e5b9' crates src tests |
+    grep -v '^crates/tensor/src/det\.rs:'; then
+    echo "error: hashing/PRNG constants outside crates/tensor/src/det.rs; use lancet_tensor::det" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

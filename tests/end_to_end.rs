@@ -95,17 +95,6 @@ fn exposed_communication_reduction_is_substantial() {
     );
 }
 
-/// FNV-1a 64 over the printed program — stable across processes and
-/// platforms, unlike `DefaultHasher`.
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn default_plan_bytes_are_golden() {
     use lancet_repro::core::{Lancet, LancetOptions};
@@ -116,7 +105,9 @@ fn default_plan_bytes_are_golden() {
     let lancet = Lancet::new(ClusterSpec::v100(2), cfg.gpus, LancetOptions::default());
     let fwd = build_forward(&cfg).unwrap().graph;
     let out = lancet.optimize(fwd).unwrap();
-    let hash = fnv1a(&lancet_repro::ir::to_text(&out.graph));
+    // FNV-1a-64 over the printed program: stable across processes and
+    // platforms, unlike `DefaultHasher`.
+    let hash = lancet_repro::tensor::det::fnv1a(lancet_repro::ir::to_text(&out.graph).as_bytes());
     // The partition-level training plan for the benchmark config, byte
     // for byte. This is the compatibility surface every future pass must
     // not move by default: serving plan caches and decode snapshots key

@@ -14,7 +14,7 @@ use lancet_repro::cost::ClusterSpec;
 use lancet_repro::exec::{init_weights, Executor};
 use lancet_repro::ir::{BackwardOptions, GateKind, Op, TensorKind};
 use lancet_repro::models::{build_forward, GptMoeConfig};
-use lancet_repro::tensor::{Tensor, TensorRng};
+use lancet_repro::tensor::{det, Tensor, TensorRng};
 
 const DEVICES: usize = 2;
 const STEPS: u64 = 3;
@@ -22,9 +22,7 @@ const STEPS: u64 = 3;
 const EXPECTED: u64 = 0xc01d_0168_f9b9_af71;
 
 fn fnv1a(h: u64, bits: u32) -> u64 {
-    bits.to_le_bytes()
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+    det::fnv1a_extend(h, &bits.to_le_bytes(), det::FNV_PRIME_WIDE)
 }
 
 #[test]
@@ -60,7 +58,7 @@ fn three_train_steps_are_bit_pinned() {
 
     let exec = Executor::new(&graph, DEVICES).unwrap();
     let mut weights = init_weights(&graph, DEVICES, 7);
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = det::FNV_OFFSET;
     let (b, s) = (cfg.batch, cfg.seq);
     for step in 0..STEPS {
         let mut bindings = weights.clone();

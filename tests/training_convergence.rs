@@ -7,17 +7,12 @@ use lancet_repro::core::{apply_partitions, infer_axes, PartitionSpec};
 use lancet_repro::exec::{Bindings, Executor};
 use lancet_repro::ir::{build_backward, BackwardOptions, GateKind, Graph, Op, TensorId, TensorKind};
 use lancet_repro::models::{build_forward, GptMoeConfig};
+use lancet_repro::tensor::det::name_seed;
 use lancet_repro::tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
 
 const DEVICES: usize = 2;
 const STEPS: usize = 5;
-
-fn name_seed(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
 
 /// Trains for `STEPS` iterations, feeding updated weights back each step;
 /// returns the per-step device-0 losses.
