@@ -38,10 +38,14 @@
 //! step and the stream's emit-by-index idempotence drops the duplicates.
 //! Streams therefore observe a gapless token sequence followed by one
 //! terminal event, no matter what the injector does.
+//!
+//! Admission, shutdown, registry and retry are serve's admission core
+//! ([`Admission`](lancet_serve::Admission)): the scheduler parks until a
+//! submit or `shutdown` wakes it, instead of polling.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -49,8 +53,9 @@ use lancet_core::{Lancet, LancetOptions};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_models::GptMoeConfig;
 use lancet_serve::{
-    canonical_weights, resolve_queue_depth, CanonicalWeights, FaultInjector, FaultSpec, Metrics,
-    Plan, PlanCache, PlanKey, Result, ServeError, ServeStats,
+    canonical_weights, drop_free, resolve_queue_depth, retry, Admission, CanonicalWeights,
+    FaultInjector, FaultSpec, Metrics, Phase, Plan, PlanCache, PlanKey, Registry, Result,
+    ServeError, ServeStats, State, Step,
 };
 use lancet_tensor::Tensor;
 
@@ -68,41 +73,36 @@ pub enum BatchMode {
     Windowed,
 }
 
-/// Decode runtime configuration. Zero-valued fields fall back to the
-/// `LANCET_DECODE_*` environment variables documented in
-/// `docs/CONFIG.md`, then to built-in defaults.
+/// Decode runtime configuration. A zero count limit (`max_inflight`,
+/// `kv_capacity_tokens`, `plan_capacity`) means 1; `queue_depth`
+/// resolves a zero as documented on it.
 #[derive(Debug, Clone)]
 pub struct DecodeConfig {
     /// Cluster kind for prefill plan optimization and cache keying.
     pub cluster: ClusterKind,
     /// Admission policy.
     pub mode: BatchMode,
-    /// Maximum concurrently decoding sequences per model
-    /// (0 → `LANCET_DECODE_INFLIGHT` → 8).
+    /// Maximum concurrently decoding sequences per model (default 8).
     pub max_inflight: usize,
-    /// KV arena capacity in tokens per model
-    /// (0 → `LANCET_DECODE_KV_TOKENS` → 4096). A request reserves
-    /// `prompt + max_new` tokens at admission.
+    /// KV arena capacity in tokens per model (default 4096). A request
+    /// reserves `prompt + max_new` tokens at admission.
     pub kv_capacity_tokens: usize,
     /// How long a step boundary waits for arrivals to join a non-full
-    /// continuous batch (`None` → `LANCET_DECODE_STEP_DEADLINE_MS` → 0,
-    /// i.e. never wait). Trades a bounded ITL bump for larger steps.
-    pub step_deadline: Option<Duration>,
+    /// continuous batch. `ZERO`, the default, never waits. Trades a
+    /// bounded ITL bump for larger steps.
+    pub step_deadline: Duration,
     /// Admission queue bound (0 → `LANCET_SERVE_QUEUE_DEPTH` → 256), the
     /// same resolution as [`ServeConfig::queue_depth`]; excess submissions
     /// are rejected with [`ServeError::Overloaded`].
     ///
     /// [`ServeConfig::queue_depth`]: lancet_serve::ServeConfig::queue_depth
     pub queue_depth: usize,
-    /// Prefill through cached seq-bucketed plans (`true`) or always
-    /// eagerly per prompt (`false`).
-    pub prefill_buckets: bool,
     /// Prefill plan-cache capacity.
     pub plan_capacity: usize,
-    /// Retries per decode step / prefill execution before the affected
-    /// streams fail.
+    /// How many times a transiently failed decode step or prefill
+    /// ([`ServeError::Exec`]) is retried before the affected streams fail.
     pub max_retries: u32,
-    /// Sleep between retries.
+    /// Base backoff slept before the first retry; doubles each retry.
     pub retry_backoff: Duration,
     /// Seed for canonical weight initialization.
     pub seed: u64,
@@ -115,61 +115,15 @@ impl Default for DecodeConfig {
         DecodeConfig {
             cluster: ClusterKind::A100,
             mode: BatchMode::Continuous,
-            max_inflight: 0,
-            kv_capacity_tokens: 0,
-            step_deadline: None,
+            max_inflight: 8,
+            kv_capacity_tokens: 4096,
+            step_deadline: Duration::ZERO,
             queue_depth: 0,
-            prefill_buckets: true,
             plan_capacity: 8,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             seed: 0xdec0,
             fault: None,
-        }
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok().filter(|&v| v > 0)
-}
-
-fn resolve(v: usize, env: &str, default: usize) -> usize {
-    if v > 0 {
-        v
-    } else {
-        env_usize(env).unwrap_or(default)
-    }
-}
-
-/// Resolved runtime limits (config → env → default).
-#[derive(Debug, Clone)]
-struct Limits {
-    mode: BatchMode,
-    max_inflight: usize,
-    kv_capacity_tokens: usize,
-    step_deadline: Duration,
-    queue_depth: usize,
-    prefill_buckets: bool,
-    max_retries: u32,
-    retry_backoff: Duration,
-    cluster: ClusterKind,
-}
-
-impl Limits {
-    fn from(cfg: &DecodeConfig) -> Self {
-        let step_deadline = cfg.step_deadline.unwrap_or_else(|| {
-            Duration::from_millis(env_usize("LANCET_DECODE_STEP_DEADLINE_MS").unwrap_or(0) as u64)
-        });
-        Limits {
-            mode: cfg.mode,
-            max_inflight: resolve(cfg.max_inflight, "LANCET_DECODE_INFLIGHT", 8),
-            kv_capacity_tokens: resolve(cfg.kv_capacity_tokens, "LANCET_DECODE_KV_TOKENS", 4096),
-            step_deadline,
-            queue_depth: resolve_queue_depth(cfg.queue_depth),
-            prefill_buckets: cfg.prefill_buckets,
-            max_retries: cfg.max_retries,
-            retry_backoff: cfg.retry_backoff,
-            cluster: cfg.cluster,
         }
     }
 }
@@ -190,15 +144,13 @@ struct Pending {
 }
 
 struct Shared {
-    limits: Limits,
-    queue: Mutex<VecDeque<Pending>>,
-    cv: Condvar,
-    shutting_down: AtomicBool,
-    models: Mutex<HashMap<String, Arc<ModelEntry>>>,
+    /// The config with its zero limits resolved.
+    config: DecodeConfig,
+    admission: Admission<Pending>,
+    models: Registry<ModelEntry>,
     metrics: Metrics,
     cache: PlanCache,
-    injector: Option<FaultInjector>,
-    seed: u64,
+    faults: FaultInjector,
 }
 
 /// An in-flight sequence owned by the scheduler.
@@ -230,25 +182,25 @@ pub struct DecodeRuntime {
 impl DecodeRuntime {
     /// Start the runtime: spawns the scheduler thread.
     pub fn start(cfg: DecodeConfig) -> Self {
-        let limits = Limits::from(&cfg);
-        let shared = Arc::new(Shared {
-            limits,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            models: Mutex::new(HashMap::new()),
-            metrics: Metrics::new(),
-            cache: PlanCache::new(cfg.plan_capacity.max(1)),
-            injector: cfg.fault.clone().map(FaultInjector::new),
-            seed: cfg.seed,
-        });
-        let sched = {
-            let shared = shared.clone();
-            thread::Builder::new()
-                .name("lancet-decode-scheduler".into())
-                .spawn(move || Scheduler::new(shared).run())
-                .expect("spawn decode scheduler")
+        let config = DecodeConfig {
+            max_inflight: cfg.max_inflight.max(1),
+            kv_capacity_tokens: cfg.kv_capacity_tokens.max(1),
+            plan_capacity: cfg.plan_capacity.max(1),
+            ..cfg
         };
+        let shared = Arc::new(Shared {
+            admission: Admission::new(resolve_queue_depth(config.queue_depth)),
+            models: Registry::default(),
+            metrics: Metrics::new(),
+            cache: PlanCache::new(config.plan_capacity),
+            faults: FaultInjector::new(config.fault.clone().unwrap_or_else(|| FaultSpec::quiet(0))),
+            config,
+        });
+        let scheduler = Scheduler { shared: shared.clone(), runs: HashMap::new(), panics: 0 };
+        let sched = thread::Builder::new()
+            .name("lancet-decode-scheduler".into())
+            .spawn(move || scheduler.run())
+            .expect("spawn decode scheduler");
         DecodeRuntime { shared, scheduler: Mutex::new(Some(sched)) }
     }
 
@@ -260,13 +212,11 @@ impl DecodeRuntime {
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for a model decode cannot serve or a
-    /// name that is already registered (running sequences keep the entry
-    /// they were admitted with, so a silent replace would split them from
-    /// new submissions).
+    /// name that is already registered.
     pub fn register_model(&self, cfg: GptMoeConfig) -> Result<()> {
-        let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        let canonical = canonical_weights(&normalized, self.shared.seed)?;
-        self.register_entry(normalized, canonical, None)
+        let cfg = drop_free(cfg);
+        let canonical = canonical_weights(&cfg, self.shared.config.seed)?;
+        self.register_model_with_weights(cfg, canonical, None)
     }
 
     /// [`register_model`](Self::register_model) with caller-supplied
@@ -282,114 +232,63 @@ impl DecodeRuntime {
         &self,
         cfg: GptMoeConfig,
         canonical: CanonicalWeights,
-        packs: Option<&std::collections::HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
+        packs: Option<&HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
     ) -> Result<()> {
-        let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        self.register_entry(normalized, canonical, packs)
-    }
-
-    fn register_entry(
-        &self,
-        normalized: GptMoeConfig,
-        canonical: CanonicalWeights,
-        packs: Option<&std::collections::HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
-    ) -> Result<()> {
-        let model = Arc::new(DecodeModel::new_with_packs(&normalized, &canonical, packs)?);
+        let cfg = drop_free(cfg);
+        let model = Arc::new(DecodeModel::new_with_packs(&cfg, &canonical, packs)?);
         let lancet = Lancet::new(
-            ClusterSpec::of(self.shared.limits.cluster, 1),
-            normalized.gpus,
+            ClusterSpec::of(self.shared.config.cluster, 1),
+            cfg.gpus,
             LancetOptions::decode_serving(),
         );
-        let mut models = self.shared.models.lock().unwrap();
-        if models.contains_key(&normalized.name) {
-            return Err(ServeError::BadRequest(format!(
-                "model `{}` is already registered",
-                normalized.name
-            )));
-        }
-        let entry = Arc::new(ModelEntry { cfg: normalized.clone(), model, lancet, canonical });
-        models.insert(normalized.name.clone(), entry);
-        Ok(())
+        self.shared.models.insert(cfg.name.clone(), ModelEntry { cfg, model, lancet, canonical })
     }
 
     /// Submit a prompt for `max_new` greedily decoded tokens. Returns a
     /// [`StreamTicket`] delivering tokens as they are produced.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] for a request that can never run (one
+    /// that overflows the KV arena included), else as serve's `submit`.
     pub fn submit(&self, model: &str, prompt: &[u32], max_new: usize) -> Result<StreamTicket> {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let entry = self
-            .shared
-            .models
-            .lock()
-            .unwrap()
-            .get(model)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel(model.into()))?;
+        let entry = self.shared.models.get(model)?;
         if prompt.is_empty() {
             return Err(ServeError::BadRequest("empty prompt".into()));
         }
         if max_new == 0 {
             return Err(ServeError::BadRequest("max_new must be at least 1".into()));
         }
-        let reserve = prompt.len() + max_new;
-        if reserve > self.shared.limits.kv_capacity_tokens {
+        let capacity = self.shared.config.kv_capacity_tokens;
+        if prompt.len().checked_add(max_new).is_none_or(|reserve| reserve > capacity) {
             return Err(ServeError::BadRequest(format!(
-                "request needs {reserve} KV tokens, arena capacity is {}",
-                self.shared.limits.kv_capacity_tokens
+                "request needs {} + {max_new} KV tokens, arena capacity is {capacity}",
+                prompt.len()
             )));
         }
-        if prompt.iter().any(|&t| t as usize >= entry.cfg.vocab) {
-            return Err(ServeError::BadRequest(format!(
-                "prompt token out of vocabulary ({})",
-                entry.cfg.vocab
-            )));
+        let vocab = entry.cfg.vocab;
+        if prompt.iter().any(|&t| t as usize >= vocab) {
+            return Err(ServeError::BadRequest(format!("prompt token out of vocabulary ({vocab})")));
         }
         let (handle, ticket) = stream_channel();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            // `shutdown` sets its flag under this lock, so the scheduler's
-            // last drain finds anything pushed here; the check above only
-            // fails fast.
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
-                return Err(ServeError::ShuttingDown);
-            }
-            if q.len() >= self.shared.limits.queue_depth {
-                self.shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded { depth: self.shared.limits.queue_depth });
-            }
-            q.push_back(Pending {
-                model: model.into(),
-                prompt: prompt.to_vec(),
-                max_new,
-                handle,
-                submitted: Instant::now(),
-            });
-            // Counted only once queued: `submitted` means accepted.
-            self.shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.shared.cv.notify_all();
+        let pending =
+            Pending { model: model.into(), prompt: prompt.to_vec(), max_new, handle, submitted: Instant::now() };
+        self.shared.admission.submit(pending, &self.shared.metrics)?;
         Ok(ticket)
     }
 
     /// Runtime statistics: serve's counters plus the decode latency
     /// distributions (`ttft_*`, `itl_*`).
     pub fn stats(&self) -> ServeStats {
-        let depth = self.shared.queue.lock().unwrap().len();
-        self.shared.metrics.snapshot(depth, self.shared.cache.stats())
+        let shared = &self.shared;
+        shared.metrics.snapshot(shared.admission.queued(), shared.cache.stats(), shared.faults.fired())
     }
 
     /// Drain and stop: in-flight sequences finish, queued requests are
     /// served, new submissions are refused with
     /// [`ServeError::ShuttingDown`].
     pub fn shutdown(&self) {
-        {
-            // Under the queue lock: the scheduler checks the flag there
-            // before it exits, and `submit` before it pushes.
-            let _queue = self.shared.queue.lock().unwrap();
-            self.shared.shutting_down.store(true, Ordering::SeqCst);
-        }
-        self.shared.cv.notify_all();
+        self.shared.admission.close(Phase::Draining);
         if let Some(h) = self.scheduler.lock().unwrap().take() {
             let _ = h.join();
         }
@@ -410,101 +309,56 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(shared: Arc<Shared>) -> Self {
-        Scheduler { shared, runs: HashMap::new(), panics: 0 }
-    }
-
-    fn run(&mut self) {
+    /// Each turn admits what the queue head allows, prefills it, and
+    /// advances every running batch one step. With nothing running and
+    /// nothing queued it parks; draining, it exits once both are empty.
+    fn run(mut self) {
         loop {
-            let admitted = self.admit();
-            let stepped = self.step_all();
-            if admitted || stepped {
-                // In continuous mode a positive step deadline lets
-                // arrivals join a non-full batch before the next step.
-                let limits = &self.shared.limits;
-                if limits.mode == BatchMode::Continuous
-                    && limits.step_deadline > Duration::ZERO
-                    && self.free_capacity()
-                {
-                    let q = self.shared.queue.lock().unwrap();
-                    if q.is_empty() {
-                        let _ = self.shared.cv.wait_timeout(q, limits.step_deadline).unwrap();
-                    }
+            let config = &self.shared.config;
+            let busy = self.runs.values().any(|r| !r.active.is_empty());
+            // In continuous mode a positive step deadline lets arrivals
+            // join a non-full batch before the next step.
+            let free = self.runs.values().any(|r| r.active.len() < config.max_inflight);
+            let mut deadline = (busy && free && config.mode == BatchMode::Continuous)
+                .then_some(config.step_deadline)
+                .filter(|d| !d.is_zero());
+            let runs = &mut self.runs;
+            let turn = self.shared.admission.next(|state, _| {
+                let staged = pick(state, runs, &self.shared);
+                let idle = staged.is_empty() && state.queue.is_empty();
+                match (busy, idle, state.phase()) {
+                    (true, true, Phase::Open) if deadline.is_some() => Step::Wait(deadline.take()),
+                    (false, true, Phase::Open) => Step::Wait(None),
+                    (false, true, _) => Step::Exit,
+                    _ => Step::Take(staged),
                 }
-                continue;
+            });
+            let Some(mut staged) = turn else { return };
+            // Arrivals during the prefills join this step: a burst steps together.
+            while !staged.is_empty() {
+                staged.into_iter().for_each(|(pending, slot)| self.prefill_admitted(pending, slot));
+                staged = pick(&mut self.shared.admission.lock(), &mut self.runs, &self.shared);
             }
-            // Idle: no admissible work, nothing in flight to step.
-            let q = self.shared.queue.lock().unwrap();
-            let draining = self.shared.shutting_down.load(Ordering::SeqCst);
-            if draining && q.is_empty() && self.runs.values().all(|r| r.active.is_empty()) {
-                return;
-            }
-            if q.is_empty() {
-                let _ = self.shared.cv.wait_timeout(q, Duration::from_millis(20)).unwrap();
-            }
-        }
-    }
-
-    fn free_capacity(&self) -> bool {
-        self.runs.values().any(|r| r.active.len() < self.shared.limits.max_inflight)
-    }
-
-    /// Pull admissible requests off the queue (FIFO, head-of-line
-    /// blocking) and prefill them into the running batch. Returns
-    /// whether anything was admitted.
-    fn admit(&mut self) -> bool {
-        let limits = self.shared.limits.clone();
-        let mut staged: Vec<(String, Pending, SlotId)> = Vec::new();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            while let Some(front) = q.front() {
-                let Some(entry) = self.shared.models.lock().unwrap().get(&front.model).cloned()
-                else {
-                    let p = q.pop_front().unwrap();
-                    p.handle.fail(ServeError::UnknownModel(p.model.clone()));
-                    self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let run = self.runs.entry(front.model.clone()).or_insert_with(|| ModelRun {
-                    arena: KvArena::new(entry.cfg.layers, entry.cfg.hidden, limits.kv_capacity_tokens),
-                    active: Vec::new(),
-                    entry,
-                });
-                let staged_here = staged.iter().filter(|(m, ..)| *m == front.model).count();
-                let occupancy = run.active.len() + staged_here;
-                let admissible = match limits.mode {
-                    BatchMode::Continuous => occupancy < limits.max_inflight,
-                    // Windowed: only an empty engine takes a new window.
-                    BatchMode::Windowed => run.active.is_empty() && occupancy < limits.max_inflight,
-                };
-                if !admissible {
-                    break;
-                }
-                let reserve = front.prompt.len() + front.max_new;
-                let Some(slot) = run.arena.alloc(reserve) else {
-                    break; // KV backpressure: stay queued until a slot frees.
-                };
-                let p = q.pop_front().unwrap();
-                staged.push((p.model.clone(), p, slot));
+            for run in self.runs.values_mut().filter(|r| !r.active.is_empty()) {
+                step_batch(&self.shared, run, &mut self.panics);
             }
         }
-        let any = !staged.is_empty();
-        for (model, pending, slot) in staged {
-            self.prefill_admitted(&model, pending, slot);
-        }
-        any
     }
 
     /// Prefill one admitted request and install it as an active
     /// sequence, emitting its first token (TTFT).
-    fn prefill_admitted(&mut self, model: &str, pending: Pending, slot: SlotId) {
-        let run = self.runs.get_mut(model).expect("run created at admission");
-        match prefill_with_retry(&self.shared, run, slot, &pending.prompt) {
+    fn prefill_admitted(&mut self, pending: Pending, slot: SlotId) {
+        let shared = &self.shared;
+        let run = self.runs.get_mut(&pending.model).expect("run created at admission");
+        let first = retry(shared.config.max_retries, shared.config.retry_backoff, &shared.metrics, |_| {
+            if shared.faults.exec_fault() {
+                return Err(ServeError::Exec("injected transient prefill failure".into()));
+            }
+            prefill(shared, run, slot, &pending.prompt)
+        });
+        match first {
             Ok(first) => {
-                let now = Instant::now();
-                self.shared
-                    .metrics
-                    .record_ttft(pending.submitted.elapsed().as_secs_f64() * 1e3);
+                shared.metrics.record_ttft(pending.submitted.elapsed().as_secs_f64() * 1e3);
                 pending.handle.emit(0, first);
                 let mut seq = Active {
                     slot,
@@ -513,86 +367,69 @@ impl Scheduler {
                     max_new: pending.max_new,
                     next_token: first,
                     submitted: pending.submitted,
-                    last_emit: now,
+                    last_emit: Instant::now(),
                 };
                 if seq.generated >= seq.max_new {
-                    finish_seq(&self.shared, &mut run.arena, &mut seq);
+                    finish_seq(shared, &mut run.arena, &mut seq);
                 } else {
                     run.active.push(seq);
                 }
             }
             Err(e) => {
                 run.arena.release(slot);
-                self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 pending.handle.fail(e);
             }
         }
     }
-
-    /// Advance every model's running batch by one decode step. Returns
-    /// whether any step ran.
-    fn step_all(&mut self) -> bool {
-        let mut stepped = false;
-        for run in self.runs.values_mut() {
-            if run.active.is_empty() {
-                continue;
-            }
-            stepped = true;
-            self.panics = step_batch(&self.shared, run, self.panics);
-        }
-        stepped
-    }
 }
 
-/// Execute one prefill with fault injection and bounded retry; seed the
-/// slot; return the first generated token.
-fn prefill_with_retry(
+/// The admission pick over the locked queue: pop requests off the head
+/// (FIFO, head-of-line blocking) while their model's batch takes them
+/// and its arena can reserve their KV slot.
+fn pick(
+    state: &mut State<Pending>,
+    runs: &mut HashMap<String, ModelRun>,
     shared: &Shared,
-    run: &mut ModelRun,
-    slot: SlotId,
-    prompt: &[u32],
-) -> Result<u32> {
-    let limits = &shared.limits;
-    let mut attempt = 0u32;
-    loop {
-        let injected = shared.injector.as_ref().is_some_and(|i| i.exec_fault());
-        if injected {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
+) -> Vec<(Pending, SlotId)> {
+    let config = &shared.config;
+    let mut staged: Vec<(Pending, SlotId)> = Vec::new();
+    while let Some(front) = state.queue.front() {
+        let run = runs.entry(front.model.clone()).or_insert_with(|| {
+            // `submit` admits only registered models, and registration is
+            // permanent.
+            let entry = shared.models.get(&front.model).expect("admitted model is registered");
+            let arena = KvArena::new(entry.cfg.layers, entry.cfg.hidden, config.kv_capacity_tokens);
+            ModelRun { entry, arena, active: Vec::new() }
+        });
+        let staged_here = staged.iter().filter(|(p, _)| p.model == front.model).count();
+        // Windowed: only an empty engine takes a new window.
+        let windowed = config.mode == BatchMode::Windowed && !run.active.is_empty();
+        if windowed || run.active.len() + staged_here >= config.max_inflight {
+            break;
         }
-        let result = if injected {
-            Err(ServeError::Exec("injected transient prefill failure".into()))
-        } else {
-            prefill_once(shared, run, slot, prompt)
+        let Some(slot) = run.arena.alloc(front.prompt.len() + front.max_new) else {
+            break; // KV backpressure: stay queued until a slot frees.
         };
-        match result {
-            Ok(first) => return Ok(first),
-            Err(e) => {
-                attempt += 1;
-                if attempt > limits.max_retries {
-                    return Err(e);
-                }
-                shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(limits.retry_backoff);
-            }
-        }
+        staged.push((state.queue.pop_front().expect("front exists"), slot));
     }
+    staged
 }
 
-/// One prefill attempt: bucketed plan path with eager fallback.
-fn prefill_once(shared: &Shared, run: &mut ModelRun, slot: SlotId, prompt: &[u32]) -> Result<u32> {
-    let entry = run.entry.clone();
-    if shared.limits.prefill_buckets {
-        match bucketed_prefill(shared, &entry, &mut run.arena, slot, prompt) {
-            Ok(first) => return Ok(first),
-            Err(_) => {
-                // Plan build or padded execution failed — degrade to the
-                // eager un-bucketed path instead of failing the request.
-                shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-            }
+/// One prefill attempt: through a cached seq-bucketed plan, degrading to
+/// an eager exact-length prefill if the plan build or padded execution
+/// fails. Seeds the slot; returns the first generated token.
+fn prefill(shared: &Shared, run: &mut ModelRun, slot: SlotId, prompt: &[u32]) -> Result<u32> {
+    let entry = &run.entry;
+    let logits = match bucketed_prefill(shared, entry, &mut run.arena, slot, prompt) {
+        Ok(logits) => logits,
+        Err(_) => {
+            shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+            let (logits, kvs) = entry.model.prefill_full(prompt)?;
+            entry.model.seed_slot(&mut run.arena, slot, &kvs, prompt.len())?;
+            logits
         }
-    }
-    let (logits, kvs) = entry.model.prefill_full(prompt)?;
-    entry.model.seed_slot(&mut run.arena, slot, &kvs, prompt.len())?;
+    };
     let vocab = *logits.shape().last().unwrap();
     Ok(argmax(&logits.data()[(prompt.len() - 1) * vocab..prompt.len() * vocab]))
 }
@@ -607,74 +444,48 @@ fn bucketed_prefill(
     arena: &mut KvArena,
     slot: SlotId,
     prompt: &[u32],
-) -> Result<u32> {
+) -> Result<Tensor> {
     let bucket = prompt.len().next_power_of_two();
     let key = PlanKey {
         model: entry.cfg.name.clone(),
         bucket: 1,
         seq: bucket,
-        cluster: shared.limits.cluster,
+        cluster: shared.config.cluster,
         gpus: entry.cfg.gpus,
     };
     let plan = shared.cache.get_or_insert_with(&key, || {
-        if shared.injector.as_ref().is_some_and(|i| i.plan_fault()) {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
+        if shared.faults.plan_fault() {
             return Err(ServeError::Plan("injected plan-build failure".into()));
         }
         Plan::build_prefill(&entry.lancet, &entry.cfg, 1, bucket, &entry.canonical)
     })?;
-    let mut ids = vec![0.0f32; bucket];
-    for (i, &t) in prompt.iter().enumerate() {
-        ids[i] = t as f32;
-    }
+    let ids = prompt.iter().map(|&t| t as f32).chain(std::iter::repeat(0.0)).take(bucket).collect();
     let ids = Tensor::from_vec(vec![1, bucket], ids).map_err(|e| ServeError::Exec(e.to_string()))?;
     let (logits, kvs) = plan.execute_prefill(&ids)?;
     entry.model.seed_slot(arena, slot, &kvs, prompt.len())?;
-    let vocab = *logits.shape().last().unwrap();
-    Ok(argmax(&logits.data()[(prompt.len() - 1) * vocab..prompt.len() * vocab]))
+    Ok(logits)
 }
 
 /// Run one decode step for a model's batch: compute, survive injected
 /// faults, emit exactly-once, commit or roll back the arena.
-/// Returns the updated partial-commit counter.
-fn step_batch(shared: &Shared, run: &mut ModelRun, mut panics: u64) -> u64 {
-    let limits = &shared.limits;
+/// `panics` is the partial-commit counter.
+fn step_batch(shared: &Shared, run: &mut ModelRun, panics: &mut u64) {
+    let config = &shared.config;
     let tokens: Vec<u32> = run.active.iter().map(|s| s.next_token).collect();
     let slots: Vec<SlotId> = run.active.iter().map(|s| s.slot).collect();
     let n = tokens.len();
+    let rollback = |arena: &mut KvArena| slots.iter().for_each(|&slot| arena.rollback(slot));
 
-    let mut attempt = 0u32;
-    loop {
-        if let Some(d) = shared.injector.as_ref().and_then(|i| i.worker_delay()) {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-            thread::sleep(d);
+    let next = retry(config.max_retries, config.retry_backoff, &shared.metrics, |attempt| {
+        if let Some(pause) = shared.faults.worker_delay() {
+            thread::sleep(pause);
         }
-        let injected = shared.injector.as_ref().is_some_and(|i| i.exec_fault());
-        if injected {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-        }
-        let result = if injected {
+        let logits = if shared.faults.exec_fault() {
             Err(ServeError::Exec("injected transient step failure".into()))
         } else {
             run.entry.model.step(&tokens, &mut run.arena, &slots)
         };
-        let logits = match result {
-            Ok(logits) => logits,
-            Err(e) => {
-                for &slot in &slots {
-                    run.arena.rollback(slot);
-                }
-                attempt += 1;
-                if attempt > limits.max_retries {
-                    fail_batch(shared, run, e);
-                    return panics;
-                }
-                shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(limits.retry_backoff);
-                continue;
-            }
-        };
-
+        let logits = logits.inspect_err(|_| rollback(&mut run.arena))?;
         let vocab = *logits.shape().last().unwrap();
         let next: Vec<u32> =
             (0..n).map(|i| argmax(&logits.data()[i * vocab..(i + 1) * vocab])).collect();
@@ -685,46 +496,44 @@ fn step_batch(shared: &Shared, run: &mut ModelRun, mut panics: u64) -> u64 {
         // kernels) and re-emits from index 0 of the step; the streams'
         // emit-by-index idempotence swallows the duplicates — the
         // exactly-once-per-token proof obligation of the chaos tests.
-        if shared.injector.as_ref().is_some_and(|i| i.worker_panic()) && attempt < limits.max_retries
-        {
+        if shared.faults.worker_panic() && attempt < config.max_retries {
             shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-            panics += 1;
-            let cut = (panics as usize) % n.max(1);
+            *panics += 1;
+            let cut = (*panics as usize) % n.max(1);
             for (seq, &tok) in run.active.iter().zip(&next).take(cut) {
                 seq.handle.emit(seq.generated, tok);
             }
-            for &slot in &slots {
-                run.arena.rollback(slot);
-            }
-            attempt += 1;
-            shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-            continue;
+            rollback(&mut run.arena);
+            return Err(ServeError::Exec("injected worker panic".into()));
         }
+        Ok(next)
+    });
+    let next = match next {
+        Ok(next) => next,
+        Err(err) => return fail_batch(shared, run, err),
+    };
 
-        // Durable commit: tokens out (idempotent), rows committed.
-        let now = Instant::now();
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.batched_requests.fetch_add(n as u64, Ordering::Relaxed);
-        for (seq, &tok) in run.active.iter_mut().zip(&next) {
-            if seq.handle.emit(seq.generated, tok) {
-                shared.metrics.record_itl((now - seq.last_emit).as_secs_f64() * 1e3);
-            }
-            seq.last_emit = now;
-            seq.generated += 1;
-            seq.next_token = tok;
-            run.arena.commit(seq.slot);
+    // Durable commit: tokens out (idempotent), rows committed.
+    let now = Instant::now();
+    shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.batched_requests.fetch_add(n as u64, Ordering::Relaxed);
+    for (seq, &tok) in run.active.iter_mut().zip(&next) {
+        if seq.handle.emit(seq.generated, tok) {
+            shared.metrics.record_itl((now - seq.last_emit).as_secs_f64() * 1e3);
         }
-        let mut i = 0;
-        while i < run.active.len() {
-            if run.active[i].generated >= run.active[i].max_new {
-                let mut seq = run.active.swap_remove(i);
-                finish_seq(shared, &mut run.arena, &mut seq);
-            } else {
-                i += 1;
-            }
+        seq.last_emit = now;
+        seq.generated += 1;
+        seq.next_token = tok;
+        run.arena.commit(seq.slot);
+    }
+    let mut i = 0;
+    while i < run.active.len() {
+        if run.active[i].generated >= run.active[i].max_new {
+            let mut seq = run.active.swap_remove(i);
+            finish_seq(shared, &mut run.arena, &mut seq);
+        } else {
+            i += 1;
         }
-        return panics;
     }
 }
 

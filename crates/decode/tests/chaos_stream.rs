@@ -157,6 +157,15 @@ fn fixed_seed_replays_bit_identically() {
     let first = serialized_outcomes(seed);
     let second = serialized_outcomes(seed);
     assert_eq!(first, second, "same LANCET_CHAOS_SEED must replay the same outcomes");
+    if std::env::var_os("LANCET_CHAOS_SEED").is_none() {
+        // Pinned literally for the default seed, so a changed fault-draw
+        // order fails even when two runs of the same build agree.
+        let shape: Vec<(usize, bool)> = first.iter().map(|(t, ok)| (t.len(), *ok)).collect();
+        let (t, f) = (true, false);
+        let pinned =
+            [(7, t), (4, t), (8, t), (5, t), (0, f), (6, t), (3, t), (7, t), (4, t), (8, t), (5, t), (2, t)];
+        assert_eq!(shape, pinned, "(tokens delivered, finished) per request");
+    }
     assert!(
         first.iter().any(|(_, ok)| !ok) || first.iter().all(|(_, ok)| *ok),
         "outcome vector is well-formed"

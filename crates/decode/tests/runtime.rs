@@ -93,12 +93,30 @@ fn windowed_batching_reproduces_the_same_tokens() {
 
 #[test]
 fn bucketed_prefill_equals_eager_prefill() {
-    let bucketed = run_workload(DecodeConfig { prefill_buckets: true, ..DecodeConfig::default() });
-    let eager = run_workload(DecodeConfig { prefill_buckets: false, ..DecodeConfig::default() });
+    let bucketed = run_workload(DecodeConfig::default());
+    // Every prefill plan build fails, so every request degrades to the
+    // eager exact-length prefill.
+    let cfg = tiny();
+    let runtime = DecodeRuntime::start(DecodeConfig {
+        fault: Some(FaultSpec { plan_fail: 1.0, ..FaultSpec::quiet(5) }),
+        ..DecodeConfig::default()
+    });
+    runtime.register_model(cfg.clone()).unwrap();
+    let eager: Vec<Vec<u32>> = workload()
+        .into_iter()
+        .map(|(prompt, max_new)| runtime.submit(&cfg.name, &prompt, max_new).unwrap())
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|t| t.collect().unwrap())
+        .collect();
+    runtime.shutdown();
     assert_eq!(
         bucketed, eager,
         "padded power-of-two prefill must be bit-identical to exact-length prefill"
     );
+    let stats = runtime.stats();
+    assert_eq!(stats.degraded, workload().len() as u64, "every prefill took the eager path");
+    assert_eq!(stats.cache.len, 0, "no prefill plan was built");
 }
 
 #[test]
@@ -157,6 +175,10 @@ fn submission_rejections_are_typed() {
     assert!(
         matches!(runtime.submit(&cfg.name, &[1, 2], 40), Err(ServeError::BadRequest(_))),
         "a request that can never fit the KV arena is refused at the door"
+    );
+    assert!(
+        matches!(runtime.submit(&cfg.name, &[1, 2], usize::MAX), Err(ServeError::BadRequest(_))),
+        "a reservation that overflows is refused, not wrapped"
     );
     assert!(matches!(
         runtime.submit(&cfg.name, &[99], 1),
@@ -267,7 +289,7 @@ fn step_deadline_trades_itl_for_joins() {
     // tokens, only timing.
     let model = reference_model(&tiny());
     let streams = run_workload(DecodeConfig {
-        step_deadline: Some(Duration::from_millis(1)),
+        step_deadline: Duration::from_millis(1),
         max_inflight: 4,
         ..DecodeConfig::default()
     });

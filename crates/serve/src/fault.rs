@@ -13,8 +13,8 @@
 //! machinery (per-request timeout, bounded retry with backoff, batch
 //! degradation, panic isolation — see
 //! [`ServeConfig`](crate::ServeConfig)) decides how to keep the
-//! exactly-once response contract anyway. Injected faults are counted in
-//! [`ServeStats::injected_faults`](crate::ServeStats::injected_faults).
+//! exactly-once response contract anyway. The injector counts its own
+//! fires ([`ServeStats::injected_faults`](crate::ServeStats::injected_faults)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -109,12 +109,18 @@ fn unit(seed: u64, salt: u64, seq: u64) -> f64 {
 pub struct FaultInjector {
     spec: FaultSpec,
     seqs: [AtomicU64; 5],
+    fired: AtomicU64,
 }
 
 impl FaultInjector {
     /// An injector drawing from `spec`.
     pub fn new(spec: FaultSpec) -> Self {
-        FaultInjector { spec, seqs: Default::default() }
+        FaultInjector { spec, seqs: Default::default(), fired: AtomicU64::new(0) }
+    }
+
+    /// How many decisions have fired so far, over all sites.
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
     }
 
     /// The spec this injector draws from.
@@ -129,7 +135,9 @@ impl FaultInjector {
         }
         let at = site as usize;
         let seq = self.seqs[at].fetch_add(1, Ordering::Relaxed);
-        unit(self.spec.seed, SITE_SALTS[at], seq) < p
+        let fires = unit(self.spec.seed, SITE_SALTS[at], seq) < p;
+        self.fired.fetch_add(u64::from(fires), Ordering::Relaxed);
+        fires
     }
 
     /// Should this batch execution run on a slowed worker? Returns the
@@ -216,6 +224,17 @@ mod tests {
             })
             .collect();
         assert_eq!(execs, execs_b);
+    }
+
+    #[test]
+    fn fires_are_counted_and_quiet_sites_do_not_draw() {
+        let inj = FaultInjector::new(FaultSpec { exec_fail: 1.0, ..FaultSpec::quiet(5) });
+        for _ in 0..3 {
+            assert!(inj.exec_fault());
+            assert!(!inj.plan_fault());
+        }
+        assert_eq!(inj.fired(), 3);
+        assert_eq!(inj.seqs[Site::PlanFail as usize].load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 mod cache;
 mod error;
 mod fault;
@@ -63,6 +64,7 @@ mod runtime;
 mod stats;
 mod trace;
 
+pub use admission::{drop_free, retry, Admission, Phase, Registry, State, Step};
 pub use cache::{CacheStats, PlanCache};
 pub use error::{Result, ServeError};
 pub use fault::{FaultInjector, FaultSpec};

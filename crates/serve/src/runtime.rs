@@ -11,29 +11,31 @@
 //!                                     buckets)
 //! ```
 //!
-//! Both queues are bounded, so overload surfaces as a typed
-//! [`ServeError::Overloaded`] at the door instead of unbounded memory
-//! growth, and a slow executor backpressures the batcher rather than
-//! letting batches pile up. Requests that out-wait their latency budget
-//! are shed with [`ServeError::DeadlineExceeded`] before execution —
-//! running them would spend executor time on an answer that is already
-//! useless.
+//! Both queues are a bounded [`Admission`] queue, so overload surfaces as
+//! a typed [`ServeError::Overloaded`] at the door instead of unbounded
+//! memory growth, and a slow executor backpressures the batcher rather
+//! than letting batches pile up. The batcher and the workers are thin
+//! loops around their decisions over the locked queue (`next_batch`,
+//! `next_exec`). Requests that out-wait their latency budget are shed
+//! with [`ServeError::DeadlineExceeded`] before execution — running them
+//! would spend executor time on an answer that is already useless.
 //!
 //! # Transparent batching
 //!
 //! Registration normalizes each model's capacity factor to its expert
-//! count, which makes routing *drop-free*: every expert can absorb every
-//! token, so no token's output depends on what else shares its
-//! micro-batch. Combined with the executor's fixed per-element reduction
-//! order, a batched response is bit-identical to what solo (batch = 1)
-//! serving would have produced — micro-batching is purely a throughput
-//! optimization, invisible in the output bits (covered by the
+//! count ([`drop_free`]), which makes routing drop-free: every expert can
+//! absorb every token, so no token's output depends on what else shares
+//! its micro-batch. Combined with the executor's fixed per-element
+//! reduction order, a batched response is bit-identical to what solo
+//! (batch = 1) serving would have produced — micro-batching is purely a
+//! throughput optimization, invisible in the output bits (covered by the
 //! `batched_responses_bit_identical_to_solo` integration test).
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, RwLock};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,6 +44,7 @@ use lancet_cost::{optimize_placement, ClusterKind, ClusterSpec, ExpertTraffic, P
 use lancet_models::GptMoeConfig;
 use lancet_tensor::{det, pool, Tensor};
 
+use crate::admission::{drop_free, retry, Admission, Phase, Registry, State, Step};
 use crate::cache::PlanCache;
 use crate::fault::{FaultInjector, FaultSpec};
 use crate::plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
@@ -73,7 +76,9 @@ fn parse_queue_depth(value: Option<&str>) -> usize {
         .unwrap_or(DEFAULT_QUEUE_DEPTH)
 }
 
-/// Serving-runtime knobs.
+/// Serving-runtime knobs. A zero count limit (`max_batch`,
+/// `plan_capacity`) means 1; `queue_depth` and `exec_workers` resolve a
+/// zero as documented on them.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Device generation the plan optimizer's cost models target.
@@ -83,7 +88,7 @@ pub struct ServeConfig {
     /// falling back to 256.
     pub queue_depth: usize,
     /// Most requests per micro-batch (buckets are powers of two up to
-    /// this, rounded up).
+    /// this, rounded up). `0` means 1.
     pub max_batch: usize,
     /// How long the batcher waits for a full batch before dispatching a
     /// partial one. Zero dispatches immediately (no batching delay).
@@ -94,7 +99,7 @@ pub struct ServeConfig {
     /// Executor worker threads. `0` resolves like the compute pool's
     /// worker knob (`LANCET_WORKERS`, then machine size).
     pub exec_workers: usize,
-    /// Plan-cache capacity (plans, not bytes).
+    /// Plan-cache capacity (plans, not bytes). `0` means 1.
     pub plan_capacity: usize,
     /// Run the Lancet partition pass when building plans. Costs more at
     /// plan-build time (all of it amortized by the cache), buys the
@@ -115,7 +120,7 @@ pub struct ServeConfig {
     /// Base backoff slept before the first retry; doubles each retry.
     pub retry_backoff: Duration,
     /// Deterministic fault injection (chaos testing). `None` — the
-    /// default — injects nothing and costs nothing on the hot path.
+    /// default — injects nothing: its sites return before they draw.
     pub fault: Option<FaultSpec>,
     /// Affinity-aware dispatch: at registration each model gets an
     /// expert→worker [`PlacementPlan`] (exec workers play the role of
@@ -174,38 +179,34 @@ struct ModelEntry {
 }
 
 /// A request waiting in a queue.
-struct Pending {
-    model: String,
-    ids: Vec<f32>,
-    enqueued: Instant,
-    slot: Arc<ResponseSlot>,
+pub(crate) struct Pending {
+    pub(crate) model: String,
+    pub(crate) ids: Vec<f32>,
+    pub(crate) enqueued: Instant,
+    pub(crate) slot: Arc<ResponseSlot>,
 }
 
 /// A micro-batch handed from the batcher to an exec worker. The bucket
 /// is derived where it's used (`serve_entries`), since timeout filtering
 /// and degradation can shrink the entry set after extraction.
-struct Batch {
-    model: String,
-    entries: Vec<Pending>,
+pub(crate) struct Batch {
+    pub(crate) model: String,
+    pub(crate) entries: Vec<Pending>,
     /// Worker index holding the batch's hot expert (affinity dispatch);
     /// `None` when affinity is off — any worker takes it, uncounted.
-    preferred: Option<usize>,
+    pub(crate) preferred: Option<usize>,
 }
 
 /// The write-once response cell behind a [`Ticket`].
-#[derive(Debug)]
-struct ResponseSlot {
-    state: Mutex<Option<Result<Tensor>>>,
+#[derive(Debug, Default)]
+pub(crate) struct ResponseSlot {
+    pub(crate) state: Mutex<Option<Result<Tensor>>>,
     ready: Condvar,
 }
 
 impl ResponseSlot {
-    fn new() -> Self {
-        ResponseSlot { state: Mutex::new(None), ready: Condvar::new() }
-    }
-
     /// First delivery wins; returns whether this call was it.
-    fn deliver(&self, result: Result<Tensor>) -> bool {
+    pub(crate) fn deliver(&self, result: Result<Tensor>) -> bool {
         let mut state = self.state.lock().expect("slot lock");
         if state.is_some() {
             return false;
@@ -228,50 +229,22 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the response (or rejection) arrives.
     pub fn wait(self) -> Result<Tensor> {
-        let mut state = self.slot.state.lock().expect("slot lock");
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            state = self.slot.ready.wait(state).expect("slot lock");
-        }
+        let state = self.slot.state.lock().expect("slot lock");
+        let mut state = self.slot.ready.wait_while(state, |s| s.is_none()).expect("slot lock");
+        state.take().expect("woken with a response")
     }
 }
 
 /// State shared by submitters, the batcher, and the exec workers.
 struct Shared {
     config: ServeConfig,
-    queue_depth: usize,
-    exec_depth: usize,
     exec_workers: usize,
-    models: RwLock<HashMap<String, Arc<ModelEntry>>>,
+    models: Registry<ModelEntry>,
     cache: PlanCache,
     metrics: Metrics,
-    admission: Mutex<VecDeque<Pending>>,
-    admitted: Condvar,
-    exec: Mutex<VecDeque<Batch>>,
-    exec_not_empty: Condvar,
-    exec_not_full: Condvar,
-    shutting_down: AtomicBool,
-    batcher_done: AtomicBool,
-    /// Abrupt-stop flag ([`ServeRuntime::crash`]): queued work is drained
-    /// with [`ServeError::Crashed`] instead of being executed.
-    crashed: AtomicBool,
-    injector: Option<FaultInjector>,
-}
-
-impl Shared {
-    /// `Ok` while the runtime accepts requests. Authoritative only under
-    /// the admission lock, where `crash` and `shutdown` set the flags.
-    fn admitting(&self) -> Result<()> {
-        if self.crashed.load(Ordering::Acquire) {
-            Err(ServeError::Crashed)
-        } else if self.shutting_down.load(Ordering::Acquire) {
-            Err(ServeError::ShuttingDown)
-        } else {
-            Ok(())
-        }
-    }
+    admission: Admission<Pending>,
+    exec: Admission<Batch>,
+    faults: FaultInjector,
 }
 
 /// Handles to the runtime's threads, held until shutdown.
@@ -299,30 +272,25 @@ impl ServeRuntime {
     /// of exec workers. Models are registered afterwards with
     /// [`register_model`](Self::register_model).
     pub fn start(config: ServeConfig) -> Arc<ServeRuntime> {
-        let queue_depth = resolve_queue_depth(config.queue_depth);
+        let config = ServeConfig {
+            max_batch: config.max_batch.max(1),
+            plan_capacity: config.plan_capacity.max(1),
+            ..config
+        };
         let exec_workers = pool::resolve_workers(config.exec_workers);
-        let injector = config.fault.clone().map(FaultInjector::new);
-        if injector.is_some() {
+        if config.fault.is_some() {
             silence_injected_panics();
         }
         let shared = Arc::new(Shared {
-            queue_depth,
+            admission: Admission::new(resolve_queue_depth(config.queue_depth)),
             // Enough slack that workers rarely idle, small enough that a
             // stalled executor backpressures the batcher quickly.
-            exec_depth: exec_workers * 2,
+            exec: Admission::new(exec_workers * 2),
             exec_workers,
             cache: PlanCache::new(config.plan_capacity),
             metrics: Metrics::new(),
-            models: RwLock::new(HashMap::new()),
-            admission: Mutex::new(VecDeque::new()),
-            admitted: Condvar::new(),
-            exec: Mutex::new(VecDeque::new()),
-            exec_not_empty: Condvar::new(),
-            exec_not_full: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            batcher_done: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            injector,
+            models: Registry::default(),
+            faults: FaultInjector::new(config.fault.clone().unwrap_or_else(|| FaultSpec::quiet(0))),
             config,
         });
         let batcher = {
@@ -357,9 +325,9 @@ impl ServeRuntime {
     /// [`ServeError::BadRequest`] if the name is already registered;
     /// [`ServeError::Plan`] if the model graph cannot be built.
     pub fn register_model(&self, cfg: GptMoeConfig) -> Result<()> {
-        let cfg = cfg.clone().with_capacity_factor(cfg.experts() as f64);
+        let cfg = drop_free(cfg);
         let canonical = canonical_weights(&cfg, self.shared.config.seed)?;
-        self.register_entry(cfg, canonical, None)
+        self.register_model_with_weights(cfg, canonical, None)
     }
 
     /// Registers `cfg` with caller-supplied weights — the model-store
@@ -385,41 +353,21 @@ impl ServeRuntime {
         canonical: CanonicalWeights,
         packs: Option<PackSet>,
     ) -> Result<()> {
-        let cfg = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        if canonical.len() != cfg.gpus {
-            return Err(ServeError::BadRequest(format!(
-                "weights cover {} devices, model `{}` needs {}",
-                canonical.len(),
-                cfg.name,
-                cfg.gpus
-            )));
-        }
-        if let Some(p) = &packs {
-            if p.len() != cfg.gpus {
+        let cfg = drop_free(cfg);
+        let packed = packs.as_ref().map_or(cfg.gpus, |p| p.len());
+        for (what, devices) in [("weights", canonical.len()), ("packs", packed)] {
+            if devices != cfg.gpus {
                 return Err(ServeError::BadRequest(format!(
-                    "packs cover {} devices, model `{}` needs {}",
-                    p.len(),
-                    cfg.name,
-                    cfg.gpus
+                    "{what} cover {devices} devices, model `{}` needs {}",
+                    cfg.name, cfg.gpus
                 )));
             }
         }
-        self.register_entry(cfg, canonical, packs.map(Arc::new))
-    }
-
-    fn register_entry(
-        &self,
-        cfg: GptMoeConfig,
-        canonical: CanonicalWeights,
-        packs: Option<Arc<PackSet>>,
-    ) -> Result<()> {
+        let config = &self.shared.config;
         let lancet = Lancet::new(
-            ClusterSpec::of(self.shared.config.cluster, 1),
+            ClusterSpec::of(config.cluster, 1),
             cfg.gpus,
-            LancetOptions {
-                disable_partition: !self.shared.config.partition,
-                ..LancetOptions::default()
-            },
+            LancetOptions { disable_partition: !config.partition, ..LancetOptions::default() },
         );
         // Affinity dispatch: optimize an expert→worker plan against a
         // seeded synthetic routing histogram (Zipf skew + inter-layer
@@ -427,7 +375,7 @@ impl ServeRuntime {
         // so the search spreads hot experts across the pool and the
         // dispatcher can aim each request at the worker holding its hot
         // expert. Deterministic per (model shape, runtime seed).
-        let placement = if self.shared.config.affinity {
+        let placement = config.affinity.then(|| {
             let layers = cfg.moe_layers().len().max(1);
             let traffic = ExpertTraffic::synthetic(
                 layers,
@@ -436,30 +384,13 @@ impl ServeRuntime {
                 1.2,
                 0.8,
                 (cfg.hidden * 4) as u64,
-                self.shared.config.seed,
+                config.seed,
             );
-            let (plan, _) = optimize_placement(
-                &traffic,
-                self.shared.exec_workers,
-                1,
-                &PlacementOptions::default(),
-            );
-            Some(plan)
-        } else {
-            None
-        };
-        let mut models = self.shared.models.write().expect("models lock");
-        if models.contains_key(&cfg.name) {
-            return Err(ServeError::BadRequest(format!(
-                "model `{}` is already registered",
-                cfg.name
-            )));
-        }
-        models.insert(
-            cfg.name.clone(),
-            Arc::new(ModelEntry { cfg, lancet, canonical, placement, packs }),
-        );
-        Ok(())
+            let options = PlacementOptions::default();
+            optimize_placement(&traffic, self.shared.exec_workers, 1, &options).0
+        });
+        let packs = packs.map(Arc::new);
+        self.shared.models.insert(cfg.name.clone(), ModelEntry { cfg, lancet, canonical, placement, packs })
     }
 
     /// Submits one request — `ids` is a single sequence of token ids for
@@ -470,51 +401,28 @@ impl ServeRuntime {
     /// Rejects immediately with [`ServeError::UnknownModel`] /
     /// [`ServeError::BadRequest`] on a malformed request,
     /// [`ServeError::Overloaded`] when the admission queue is at its
-    /// bound, or [`ServeError::ShuttingDown`].
+    /// bound, or [`ServeError::ShuttingDown`] / [`ServeError::Crashed`].
     pub fn submit(&self, model: &str, ids: Vec<f32>) -> Result<Ticket> {
-        let shared = &self.shared;
-        shared.admitting()?;
-        let entry = {
-            let models = shared.models.read().expect("models lock");
-            models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-        };
-        if ids.len() != entry.cfg.seq {
+        let entry = self.shared.models.get(model)?;
+        let cfg = &entry.cfg;
+        if ids.len() != cfg.seq {
             return Err(ServeError::BadRequest(format!(
                 "{} token ids, model `{model}` serves sequences of {}",
                 ids.len(),
-                entry.cfg.seq
+                cfg.seq
             )));
         }
-        let vocab = entry.cfg.vocab as f32;
+        let vocab = cfg.vocab as f32;
         if let Some(bad) = ids.iter().find(|&&t| t < 0.0 || t >= vocab || t.fract() != 0.0) {
             return Err(ServeError::BadRequest(format!(
                 "token id {bad} outside vocabulary of {}",
-                entry.cfg.vocab
+                cfg.vocab
             )));
         }
-
-        let slot = Arc::new(ResponseSlot::new());
-        {
-            let mut queue = shared.admission.lock().expect("admission lock");
-            // `crash` and `shutdown` set their flags under this lock, so a
-            // request pushed here is one their drains will find; the check
-            // above only fails fast.
-            shared.admitting()?;
-            if queue.len() >= shared.queue_depth {
-                shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded { depth: shared.queue_depth });
-            }
-            queue.push_back(Pending {
-                model: model.into(),
-                ids,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-            // Counted before the lock drops, so a crash drain can never
-            // answer a request that is not yet counted as submitted.
-            shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.admitted.notify_all();
+        let slot = Arc::new(ResponseSlot::default());
+        let pending =
+            Pending { model: model.into(), ids, enqueued: Instant::now(), slot: Arc::clone(&slot) };
+        self.shared.admission.submit(pending, &self.shared.metrics)?;
         Ok(Ticket { slot })
     }
 
@@ -529,8 +437,8 @@ impl ServeRuntime {
 
     /// A point-in-time statistics snapshot.
     pub fn stats(&self) -> ServeStats {
-        let depth = self.shared.admission.lock().expect("admission lock").len();
-        self.shared.metrics.snapshot(depth, self.shared.cache.stats())
+        let shared = &self.shared;
+        shared.metrics.snapshot(shared.admission.queued(), shared.cache.stats(), shared.faults.fired())
     }
 
     /// The plan cache (for inspection; plans are managed internally).
@@ -542,14 +450,14 @@ impl ServeRuntime {
     /// or — when that was `0` — `LANCET_SERVE_QUEUE_DEPTH`, falling back
     /// to the built-in default of 256.
     pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_depth
+        self.shared.admission.depth()
     }
 
     /// Requests waiting in the admission queue right now. Cheap (one
     /// lock, no snapshot) — the fleet front-end polls this per submit
     /// for its work-stealing decision.
     pub fn queue_len(&self) -> usize {
-        self.shared.admission.lock().expect("admission lock").len()
+        self.shared.admission.queued()
     }
 
     /// Pre-builds `model`'s execution plan for every batch bucket
@@ -564,13 +472,9 @@ impl ServeRuntime {
     /// [`ServeError::UnknownModel`] if `model` was never registered;
     /// [`ServeError::Plan`] if a plan cannot be built.
     pub fn warm_model(&self, model: &str) -> Result<()> {
-        let entry = {
-            let models = self.shared.models.read().expect("models lock");
-            models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-        };
+        let entry = self.shared.models.get(model)?;
         let top = bucket_for(self.shared.config.max_batch);
-        let mut bucket = 1usize;
-        loop {
+        for bucket in (0..).map(|log| 1usize << log).take_while(|&b| b <= top) {
             let key = PlanKey {
                 model: model.into(),
                 bucket,
@@ -587,10 +491,6 @@ impl ServeRuntime {
                     entry.packs.as_deref(),
                 )
             })?;
-            if bucket >= top {
-                break;
-            }
-            bucket *= 2;
         }
         Ok(())
     }
@@ -599,15 +499,7 @@ impl ServeRuntime {
     /// still gets its response), and joins all runtime threads.
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        let threads = self.threads.lock().expect("threads lock").take();
-        let Some(threads) = threads else { return };
-        let shared = &self.shared;
-        set_flags(&[&shared.shutting_down], &shared.admission, &[&shared.admitted]);
-        threads.batcher.join().expect("batcher panicked");
-        set_flags(&[&shared.batcher_done], &shared.exec, &[&shared.exec_not_empty]);
-        for worker in threads.workers {
-            worker.join().expect("exec worker panicked");
-        }
+        self.stop(Phase::Draining);
     }
 
     /// Kills the replica abruptly (chaos testing / fleet fail-over
@@ -624,61 +516,32 @@ impl ServeRuntime {
     ///
     /// [`ServeStats::outstanding`]: crate::ServeStats::outstanding
     pub fn crash(&self) {
+        self.stop(Phase::Crashed);
+    }
+
+    /// Closes both queues in order and joins their threads; a crash closes
+    /// the exec queue at once, and whatever is left queued is answered.
+    fn stop(&self, phase: Phase) {
         let threads = self.threads.lock().expect("threads lock").take();
         let shared = &self.shared;
-        // The batcher checks `crashed` under the admission lock; the
-        // workers and a batcher blocked in `push_batch` check it under the
-        // exec lock. Passing through both locks means none of them can
-        // miss it between its check and its wait.
-        let (crashed, draining) = (&shared.crashed, &shared.shutting_down);
-        set_flags(&[crashed, draining], &shared.admission, &[&shared.admitted]);
-        set_flags(&[crashed], &shared.exec, &[&shared.exec_not_full, &shared.exec_not_empty]);
+        shared.admission.close(phase);
+        if phase == Phase::Crashed {
+            shared.exec.close(phase);
+        }
         if let Some(threads) = threads {
             threads.batcher.join().expect("batcher panicked");
-            set_flags(&[&shared.batcher_done], &shared.exec, &[&shared.exec_not_empty]);
+            shared.exec.close(Phase::Draining);
             for worker in threads.workers {
                 worker.join().expect("exec worker panicked");
             }
         }
-        // All threads are gone; whatever is still queued was admitted but
-        // never started. Drain it with the typed crash error.
-        let queued: Vec<Pending> = shared
-            .admission
-            .lock()
-            .expect("admission lock")
-            .drain(..)
-            .chain(
-                shared
-                    .exec
-                    .lock()
-                    .expect("exec lock")
-                    .drain(..)
-                    .flat_map(|batch| batch.entries),
-            )
-            .collect();
-        deliver_crashed(shared, queued);
-    }
-}
-
-/// Sets `flags` while holding `lock` — the mutex their waiters check them
-/// under — then wakes every waiter on `wake`. A waiter holds `lock` from
-/// its check to its `wait`, so it either sees the flags set or is already
-/// waiting when the notify comes: setting them outside the lock could
-/// land between its check and its `wait` and lose the wakeup for good.
-fn set_flags<T>(flags: &[&AtomicBool], lock: &Mutex<T>, wake: &[&Condvar]) {
-    {
-        let _guard = lock.lock().expect("runtime lock");
-        for flag in flags {
-            flag.store(true, Ordering::Release);
-        }
-    }
-    for cv in wake {
-        cv.notify_all();
+        let batched = shared.exec.drain().into_iter().flat_map(|batch| batch.entries);
+        deliver_crashed(shared, shared.admission.drain().into_iter().chain(batched));
     }
 }
 
 /// Answers `entries` with [`ServeError::Crashed`], counting each.
-fn deliver_crashed(shared: &Shared, entries: Vec<Pending>) {
+fn deliver_crashed(shared: &Shared, entries: impl IntoIterator<Item = Pending>) {
     for pending in entries {
         shared.metrics.crashed.fetch_add(1, Ordering::Relaxed);
         let delivered = pending.slot.deliver(Err(ServeError::Crashed));
@@ -697,156 +560,110 @@ fn bucket_for(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// The batcher: groups admitted requests into per-model buckets, shedding
-/// the ones whose latency budget expired, and feeds the exec queue.
-/// Exits once shutdown is flagged *and* the admission queue is drained.
+/// The batcher: groups admitted requests into per-model buckets and
+/// feeds the exec queue until `next_batch` says to exit.
 fn batcher_loop(shared: &Shared) {
-    loop {
-        let batch = {
-            let mut queue = shared.admission.lock().expect("admission lock");
-            loop {
-                // A crash is abrupt: leave everything queued for the
-                // crash drain instead of batching it.
-                if shared.crashed.load(Ordering::Acquire) {
-                    return;
-                }
-                shed_expired(shared, &mut queue);
-                let Some(front) = queue.front() else {
-                    if shared.shutting_down.load(Ordering::Acquire) {
-                        return;
-                    }
-                    queue = shared.admitted.wait(queue).expect("admission lock");
-                    continue;
-                };
-                let model = front.model.clone();
-                let waited = front.enqueued.elapsed();
-                let matching = queue.iter().filter(|p| p.model == model).count();
-                let draining = shared.shutting_down.load(Ordering::Acquire);
-                if matching >= shared.config.max_batch
-                    || waited >= shared.config.batch_window
-                    || draining
-                {
-                    break extract(&mut queue, &model, shared.config.max_batch);
-                }
-                let (q, _) = shared
-                    .admitted
-                    .wait_timeout(queue, shared.config.batch_window - waited)
-                    .expect("admission lock");
-                queue = q;
-            }
-        };
+    let decide = |state: &mut _, now| next_batch(state, &shared.config, &shared.metrics, now);
+    while let Some(mut batch) = shared.admission.next(decide) {
         // Injected queue stall: the batcher freezes with the batch in
         // hand (admission lock released — submitters keep queueing).
-        if let Some(inj) = &shared.injector {
-            if let Some(delay) = inj.batcher_stall() {
-                shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(delay);
-            }
+        if let Some(pause) = shared.faults.batcher_stall() {
+            std::thread::sleep(pause);
         }
-        let mut batch = batch;
         batch.preferred = preferred_worker(shared, &batch);
-        push_batch(shared, batch);
+        // Handed back only if the runtime crashed while the batch waited
+        // for room: the workers are exiting, so it can no longer execute.
+        if let Err(batch) = shared.exec.push_wait(batch) {
+            deliver_crashed(shared, batch.entries);
+        }
+    }
+}
+
+/// The batcher's decision at `now`: shed expired requests, then batch the
+/// oldest request's model once it is full, its window has passed, or the
+/// queue is draining. A crash leaves the queue to the crash drain.
+pub(crate) fn next_batch(
+    state: &mut State<Pending>,
+    config: &ServeConfig,
+    metrics: &Metrics,
+    now: Instant,
+) -> Step<Batch> {
+    if state.phase() == Phase::Crashed {
+        return Step::Exit;
+    }
+    shed_expired(&mut state.queue, config.latency_budget, metrics, now);
+    let Some(front) = state.queue.front() else {
+        return if state.phase() == Phase::Open { Step::Wait(None) } else { Step::Exit };
+    };
+    let model = front.model.clone();
+    let waited = now.saturating_duration_since(front.enqueued);
+    let matching = state.queue.iter().filter(|p| p.model == model).count();
+    if matching >= config.max_batch || waited >= config.batch_window || state.phase() == Phase::Draining
+    {
+        Step::Take(extract(&mut state.queue, &model, config.max_batch))
+    } else {
+        Step::Wait(Some(config.batch_window - waited))
     }
 }
 
 /// Sheds queued requests that have out-waited the latency budget.
-fn shed_expired(shared: &Shared, queue: &mut VecDeque<Pending>) {
-    let budget = shared.config.latency_budget;
+fn shed_expired(queue: &mut VecDeque<Pending>, budget: Duration, metrics: &Metrics, now: Instant) {
     if budget.is_zero() {
         return;
     }
-    let mut kept = VecDeque::with_capacity(queue.len());
-    for pending in queue.drain(..) {
-        let waited = pending.enqueued.elapsed();
-        if waited > budget {
-            shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            let delivered = pending.slot.deliver(Err(ServeError::DeadlineExceeded {
-                waited_ms: waited.as_secs_f64() * 1e3,
-            }));
-            debug_assert!(delivered, "a queued request cannot already have a response");
-        } else {
-            kept.push_back(pending);
+    queue.retain(|pending| {
+        let waited = now.saturating_duration_since(pending.enqueued);
+        if waited <= budget {
+            return true;
         }
-    }
-    *queue = kept;
+        metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+        let waited_ms = waited.as_secs_f64() * 1e3;
+        let delivered = pending.slot.deliver(Err(ServeError::DeadlineExceeded { waited_ms }));
+        debug_assert!(delivered, "a queued request cannot already have a response");
+        false
+    });
 }
 
 /// Removes up to `max` requests for `model` from the queue (preserving
 /// the relative order of everything else) and wraps them in a batch.
 fn extract(queue: &mut VecDeque<Pending>, model: &str, max: usize) -> Batch {
-    let mut entries = Vec::new();
-    let mut rest = VecDeque::with_capacity(queue.len());
-    for pending in queue.drain(..) {
-        if pending.model == model && entries.len() < max {
-            entries.push(pending);
-        } else {
-            rest.push_back(pending);
-        }
-    }
-    *queue = rest;
+    let mut taken = 0;
+    let (entries, rest): (Vec<_>, Vec<_>) = queue.drain(..).partition(|pending| {
+        let take = pending.model == model && taken < max;
+        taken += usize::from(take);
+        take
+    });
+    *queue = rest.into();
     Batch { model: model.into(), entries, preferred: None }
 }
 
-/// Blocks until the (bounded) exec queue has room, then enqueues. If the
-/// runtime crashes while the batcher is blocked here, the in-hand batch
-/// is answered with [`ServeError::Crashed`] (it can no longer execute —
-/// the workers are exiting).
-fn push_batch(shared: &Shared, batch: Batch) {
-    let mut exec = shared.exec.lock().expect("exec lock");
-    while exec.len() >= shared.exec_depth {
-        if shared.crashed.load(Ordering::Acquire) {
-            drop(exec);
-            deliver_crashed(shared, batch.entries);
-            return;
-        }
-        exec = shared.exec_not_full.wait(exec).expect("exec lock");
-    }
-    exec.push_back(batch);
-    drop(exec);
-    shared.exec_not_empty.notify_one();
-}
-
 /// An exec worker: pops batches, resolves their plan through the cache,
-/// executes, and delivers per-request responses. Exits once the batcher
-/// is done and the exec queue is empty.
+/// executes, and delivers per-request responses until `next_exec` says
+/// to exit.
 fn worker_loop(shared: &Shared, index: usize) {
-    loop {
-        let batch = {
-            let mut exec = shared.exec.lock().expect("exec lock");
-            loop {
-                // A crash is abrupt: stop picking up queued batches (the
-                // crash drain answers them). The batch this worker may
-                // already be running is not in any queue and completes.
-                if shared.crashed.load(Ordering::Acquire) {
-                    return;
-                }
-                // Affinity: take the first batch preferring this worker;
-                // otherwise steal the front one (preference is soft — a
-                // free worker never idles while work is queued).
-                let pick = exec
-                    .iter()
-                    .position(|b| b.preferred == Some(index))
-                    .or(if exec.is_empty() { None } else { Some(0) });
-                if let Some(at) = pick {
-                    let batch = exec.remove(at).expect("picked position exists");
-                    shared.exec_not_full.notify_one();
-                    break batch;
-                }
-                if shared.batcher_done.load(Ordering::Acquire) {
-                    return;
-                }
-                exec = shared.exec_not_empty.wait(exec).expect("exec lock");
-            }
-        };
+    while let Some(batch) = shared.exec.next(|state, _| next_exec(state, index)) {
         if let Some(preferred) = batch.preferred {
-            let requests = batch.entries.len() as u64;
-            if preferred == index {
-                shared.metrics.placement_hits.fetch_add(requests, Ordering::Relaxed);
-            } else {
-                shared.metrics.placement_misses.fetch_add(requests, Ordering::Relaxed);
-            }
+            let metrics = &shared.metrics;
+            let counter =
+                if preferred == index { &metrics.placement_hits } else { &metrics.placement_misses };
+            counter.fetch_add(batch.entries.len() as u64, Ordering::Relaxed);
         }
         run_batch(shared, batch);
+    }
+}
+
+/// Worker `index`'s decision: the first batch preferring it, else the
+/// front one (affinity is soft — a free worker never idles while work is
+/// queued). On a crash it stops picking up batches at once; a batch it
+/// is already running is in no queue and completes.
+pub(crate) fn next_exec(state: &mut State<Batch>, index: usize) -> Step<Batch> {
+    let (phase, queue) = (state.phase(), &mut state.queue);
+    let pick = queue.iter().position(|b| b.preferred == Some(index));
+    match (phase, pick.or((!queue.is_empty()).then_some(0))) {
+        (Phase::Crashed, _) => Step::Exit,
+        (_, Some(at)) => Step::Take(queue.remove(at).expect("picked position exists")),
+        (Phase::Open, None) => Step::Wait(None),
+        (Phase::Draining, None) => Step::Exit,
     }
 }
 
@@ -860,10 +677,7 @@ fn preferred_worker(shared: &Shared, batch: &Batch) -> Option<usize> {
     if !shared.config.affinity || batch.entries.is_empty() {
         return None;
     }
-    let entry = {
-        let models = shared.models.read().expect("models lock");
-        models.get(&batch.model).cloned()?
-    };
+    let entry = shared.models.get(&batch.model).ok()?;
     let plan = entry.placement.as_ref()?;
     let experts = entry.cfg.experts();
     let mut votes = vec![0usize; shared.exec_workers.max(1)];
@@ -887,13 +701,7 @@ fn hot_expert(ids: &[f32], experts: usize) -> usize {
     for &id in ids {
         counts[(det::splitmix64(id.to_bits() as u64) % experts as u64) as usize] += 1;
     }
-    let mut best = 0;
-    for (i, &c) in counts.iter().enumerate() {
-        if c > counts[best] {
-            best = i;
-        }
-    }
-    best
+    (0..experts).max_by_key(|&i| (counts[i], Reverse(i))).unwrap_or(0)
 }
 
 // True on this thread while an *injected* panic unwinds (so the panic
@@ -919,13 +727,8 @@ fn silence_injected_panics() {
 
 /// A human-readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).into()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".into()
-    }
+    let text = payload.downcast_ref::<&str>().copied();
+    text.or(payload.downcast_ref::<String>().map(String::as_str)).unwrap_or("worker panicked").into()
 }
 
 /// Executes one micro-batch and delivers every response exactly once —
@@ -938,18 +741,14 @@ fn run_batch(shared: &Shared, batch: Batch) {
     // Per-request timeout: answer requests that are already past their
     // end-to-end deadline instead of spending executor time on them.
     let timeout = shared.config.request_timeout;
-    let mut live = Vec::with_capacity(entries.len());
-    for pending in entries {
-        let waited = pending.enqueued.elapsed();
-        if !timeout.is_zero() && waited > timeout {
-            shared.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-            let delivered = pending
-                .slot
-                .deliver(Err(ServeError::TimedOut { waited_ms: waited.as_secs_f64() * 1e3 }));
-            debug_assert!(delivered, "a queued request cannot already have a response");
-        } else {
-            live.push(pending);
-        }
+    let (stale, live): (Vec<_>, Vec<_>) = entries
+        .into_iter()
+        .partition(|pending| !timeout.is_zero() && pending.enqueued.elapsed() > timeout);
+    for pending in stale {
+        shared.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
+        let waited_ms = pending.enqueued.elapsed().as_secs_f64() * 1e3;
+        let delivered = pending.slot.deliver(Err(ServeError::TimedOut { waited_ms }));
+        debug_assert!(delivered, "a queued request cannot already have a response");
     }
     if live.is_empty() {
         return;
@@ -976,28 +775,17 @@ fn run_batch(shared: &Shared, batch: Batch) {
     }
 }
 
-/// Serves `entries` as one bucket: execute (with bounded retry on
-/// transient failures), degrade to two half-sized buckets if the plan
-/// cannot be built, and deliver every response.
+/// Serves `entries` as one bucket: execute (retrying transient failures),
+/// degrade to two half-sized buckets if the plan cannot be built, and
+/// deliver every response.
 fn serve_entries(shared: &Shared, model: &str, entries: Vec<Pending>) {
     let bucket = bucket_for(entries.len());
-    let mut attempt = 0u32;
-    let result = loop {
-        match execute_entries(shared, model, bucket, &entries) {
-            // Transient execution failure: bounded retry with doubling
-            // backoff. Plan failures are not retried — a deterministic
-            // build fails the same way every time; they degrade below.
-            Err(ServeError::Exec(_)) if attempt < shared.config.max_retries => {
-                shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-                let backoff = shared.config.retry_backoff * 2u32.saturating_pow(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-            other => break other,
-        }
-    };
+    let config = &shared.config;
+    // Plan failures are not retried — a deterministic build fails the
+    // same way every time; they degrade below.
+    let result = retry(config.max_retries, config.retry_backoff, &shared.metrics, |_| {
+        execute_entries(shared, model, bucket, &entries)
+    });
     match result {
         Ok((plan, logits)) => {
             for (row, pending) in entries.iter().enumerate() {
@@ -1041,21 +829,14 @@ fn execute_entries(
     bucket: usize,
     entries: &[Pending],
 ) -> Result<(Arc<Plan>, Tensor)> {
-    if let Some(inj) = &shared.injector {
-        if let Some(delay) = inj.worker_delay() {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(delay);
-        }
-        if inj.worker_panic() {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-            INJECTED_PANIC.with(|f| f.set(true));
-            panic!("injected worker panic");
-        }
+    if let Some(pause) = shared.faults.worker_delay() {
+        std::thread::sleep(pause);
     }
-    let entry = {
-        let models = shared.models.read().expect("models lock");
-        models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-    };
+    if shared.faults.worker_panic() {
+        INJECTED_PANIC.with(|f| f.set(true));
+        panic!("injected worker panic");
+    }
+    let entry = shared.models.get(model)?;
     let key = PlanKey {
         model: model.into(),
         bucket,
@@ -1066,11 +847,8 @@ fn execute_entries(
     let plan = shared.cache.get_or_insert_with(&key, || {
         // Plan faults fire inside the build closure: cache hits are
         // immune, exactly like a real optimizer failure would be.
-        if let Some(inj) = &shared.injector {
-            if inj.plan_fault() {
-                shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Plan("injected plan-build fault".into()));
-            }
+        if shared.faults.plan_fault() {
+            return Err(ServeError::Plan("injected plan-build fault".into()));
         }
         Plan::build_with_packs(
             &entry.lancet,
@@ -1090,24 +868,15 @@ fn execute_entries(
     }
     let ids = Tensor::from_vec(vec![bucket, seq], data)
         .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    if let Some(inj) = &shared.injector {
-        if inj.exec_fault() {
-            shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Exec("injected transient execution fault".into()));
-        }
+    if shared.faults.exec_fault() {
+        return Err(ServeError::Exec("injected transient execution fault".into()));
     }
     let exec_started = Instant::now();
     let logits = plan.execute(&ids)?;
     // Device emulation: pad the batch out to the configured service
     // floor, so fleet-scaling runs on small hosts see accelerator-like
     // fixed service times instead of CPU contention.
-    let floor = shared.config.service_floor;
-    if !floor.is_zero() {
-        let elapsed = exec_started.elapsed();
-        if elapsed < floor {
-            std::thread::sleep(floor - elapsed);
-        }
-    }
+    std::thread::sleep(shared.config.service_floor.saturating_sub(exec_started.elapsed()));
     Ok((plan, logits))
 }
 

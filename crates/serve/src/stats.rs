@@ -35,8 +35,6 @@ pub struct Metrics {
     pub batches: AtomicU64,
     /// Requests summed over executed batches (decode: step occupancy).
     pub batched_requests: AtomicU64,
-    /// Faults the chaos injector fired.
-    pub injected_faults: AtomicU64,
     /// Execution attempts retried after a transient failure.
     pub retried: AtomicU64,
     /// Batches degraded to a fallback path (smaller bucket / eager prefill).
@@ -94,7 +92,6 @@ impl Metrics {
             timed_out: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
-            injected_faults: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
@@ -122,8 +119,10 @@ impl Metrics {
         self.itl.lock().expect("metrics lock").push(ms);
     }
 
-    /// Builds a consistent snapshot.
-    pub fn snapshot(&self, queue_depth: usize, cache: CacheStats) -> ServeStats {
+    /// Builds a consistent snapshot; `injected_faults` comes from the
+    /// runtime's [`FaultInjector`](crate::FaultInjector), which counts its
+    /// own fires.
+    pub fn snapshot(&self, queue_depth: usize, cache: CacheStats, injected_faults: u64) -> ServeStats {
         let samples = self.latencies.lock().expect("metrics lock").sorted();
         let ttft = self.ttft.lock().expect("metrics lock").sorted();
         let itl = self.itl.lock().expect("metrics lock").sorted();
@@ -137,7 +136,7 @@ impl Metrics {
             failed: self.failed.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             batches,
-            injected_faults: self.injected_faults.load(Ordering::Relaxed),
+            injected_faults,
             retried: self.retried.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
@@ -414,10 +413,10 @@ mod tests {
             m.batched_requests.store(n, Ordering::Relaxed);
         }
 
-        let oracle = whole.snapshot(3, CacheStats::default());
+        let oracle = whole.snapshot(3, CacheStats::default(), 0);
         let merged = ServeStats::merge(&[
-            a.snapshot(1, CacheStats::default()),
-            b.snapshot(2, CacheStats::default()),
+            a.snapshot(1, CacheStats::default(), 0),
+            b.snapshot(2, CacheStats::default(), 0),
         ]);
 
         assert_eq!(merged.completed, oracle.completed);

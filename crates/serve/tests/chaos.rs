@@ -106,6 +106,16 @@ fn seeded_chaos_replay_reproduces_stats() {
     assert_eq!(fault_ledger(&stats_a), fault_ledger(&stats_b), "replay must reproduce counters");
     assert_eq!(replies_a, replies_b, "replay must reproduce every reply bit");
     assert!(stats_a.injected_faults > 0, "the chaos spec must actually inject");
+    // Pinned literally, so a changed fault-draw order fails even when two
+    // runs of the same build agree.
+    assert_eq!(fault_ledger(&stats_a), (16, 15, 1, 0, 9, 4, 0, 1));
+    for (i, reply) in replies_a.iter().enumerate() {
+        match (i, reply) {
+            (11, Err(ServeError::WorkerPanic(_))) => {}
+            (11, other) => panic!("reply 11 must be the injected panic, got {other:?}"),
+            (_, reply) => assert!(reply.is_ok(), "reply {i}: {reply:?}"),
+        }
+    }
     // A different seed is a different experiment.
     let (stats_c, _) = deterministic_drive(seed ^ 1, 16);
     assert_ne!(
