@@ -3,7 +3,8 @@
 //! Benchmarks the packed GEMM engine (`lancet_tensor::gemm`) against the
 //! retained naive reference kernel on GPT2-S-MoE-sized operands (hidden
 //! 768, FFN 3072), asserts the engines are bit-identical on the benched
-//! operands, and records the measured speedups to
+//! operands, times GELU and GELU-grad on `lancet_tensor::det::tanh`
+//! against the platform libm's `tanhf`, and records the measured speedups to
 //! `results/BENCH_kernels.json` so the comparison is a tracked artifact
 //! (like the fig15 engine table). The table is reproduced and discussed
 //! in EXPERIMENTS.md.
@@ -66,6 +67,17 @@ const TRANSPOSED_SAMPLES: usize = 30;
 /// the packing copy must keep the packed engine well ahead; quick runs on
 /// a busy 2-core host ranged 3.1–5.6x, so the floor leaves room for noise.
 const MIN_TRANSPOSED_SPEEDUP: f64 = 2.0;
+/// GELU operands: 48 rows of the `train` workload's 512-wide expert FFN
+/// activations. At 24,576 elements the op stays below the tensor
+/// backend's chunk-parallel threshold, so both sides run on one thread.
+const GELU_SHAPE: [usize; 2] = [48, 512];
+/// Samples per side for the GELU rows (~0.6 ms per libm call).
+const GELU_SAMPLES: usize = 30;
+/// Floor for `det::tanh`-based GELU and GELU-grad against the same
+/// formulas on the platform libm's `tanhf`, enforced in both modes. Quick
+/// runs on a 2-core AVX-512 host measured 6.3–7.2x for both ops; the
+/// floor is under half the lowest, for noisy CI machines.
+const MIN_GELU_SPEEDUP: f64 = 3.0;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -212,6 +224,29 @@ fn main() {
         [("dense", &mut || experts(&xp_dense)), ("padded", &mut || experts(&xp_padded))],
     );
 
+    // GELU and its gradient: the tensor ops on `det::tanh` against the
+    // same formulas on libm's `tanhf`, which must agree within 1e-6.
+    let gx = rng.uniform(GELU_SHAPE.to_vec(), -4.0, 4.0);
+    let gg = rng.uniform(GELU_SHAPE.to_vec(), -1.0, 1.0);
+    assert!(gx.gelu().allclose_with(&gelu_libm(&gx), 1e-6, 1e-6), "gelu drifted from libm");
+    assert!(
+        gx.gelu_grad(&gg).unwrap().allclose_with(&gelu_grad_libm(&gx, &gg), 1e-6, 1e-6),
+        "gelu_grad drifted from libm"
+    );
+    let gelu = interleaved(
+        "gelu",
+        GELU_SAMPLES,
+        [("libm", &mut || drop(gelu_libm(&gx))), ("det", &mut || drop(gx.gelu()))],
+    );
+    let gelu_grad = interleaved(
+        "gelu_grad",
+        GELU_SAMPLES,
+        [
+            ("libm", &mut || drop(gelu_grad_libm(&gx, &gg))),
+            ("det", &mut || drop(gx.gelu_grad(&gg).unwrap())),
+        ],
+    );
+
     // Chunk-parallel reduction op, for the where-does-the-time-go story.
     let scores = rng.uniform(vec![TOKENS * 12, TOKENS], -4.0, 4.0);
     let softmax =
@@ -229,6 +264,8 @@ fn main() {
     let prepack_batch = speedup(&batch[0], &batch[1]);
     let prepack_experts = speedup(&experts_prepack[0], &experts_prepack[1]);
     let padded = speedup(&padded_rows[0], &padded_rows[1]);
+    let gelu_det = speedup(&gelu[0], &gelu[1]);
+    let gelu_grad_det = speedup(&gelu_grad[0], &gelu_grad[1]);
 
     println!();
     println!("speedup over naive (min-of-samples):");
@@ -244,6 +281,9 @@ fn main() {
     println!("  experts (bt={EXPERTS})  {prepack_experts:>7.2}x");
     println!("speedup of half-padded over dense expert buffers (zero-group skip):");
     println!("  experts (bt={PADDED_EXPERTS})  {padded:>7.2}x");
+    println!("speedup of det::tanh over libm tanhf (one thread):");
+    println!("  gelu             {gelu_det:>7.2}x");
+    println!("  gelu_grad        {gelu_grad_det:>7.2}x");
     println!("  workers (auto)   {:>7}", default_workers());
 
     let best = tiled_vs_naive.max(threaded_vs_naive);
@@ -267,11 +307,18 @@ fn main() {
         "zero-group skip regression: padded speedup {padded:.2}x < {MIN_PADDED_SPEEDUP}x floor"
     );
 
+    let worst_gelu = gelu_det.min(gelu_grad_det);
+    assert!(
+        worst_gelu >= MIN_GELU_SPEEDUP,
+        "GELU regression: det speedup {worst_gelu:.2}x < {MIN_GELU_SPEEDUP}x floor"
+    );
+
     if !quick {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
             path,
-            [matmul, batched, transposed, step, batch, experts_prepack, padded_rows, softmax].concat(),
+            [matmul, batched, transposed, step, batch, experts_prepack, padded_rows, gelu, gelu_grad, softmax]
+                .concat(),
             &[
                 ("matmul_tiled_vs_naive", tiled_vs_naive),
                 ("matmul_threaded_vs_naive", threaded_vs_naive),
@@ -283,10 +330,30 @@ fn main() {
                 ("prepacked_vs_repack_batch", prepack_batch),
                 ("prepacked_vs_repack_experts", prepack_experts),
                 ("padded_vs_dense_experts", padded),
+                ("gelu_det_vs_libm", gelu_det),
+                ("gelu_grad_det_vs_libm", gelu_grad_det),
             ],
         );
         println!("\nwrote {path}");
     }
+}
+
+/// `sqrt(2/π)`, the GELU tanh-approximation constant.
+const GELU_C: f32 = 0.797_884_6;
+
+/// `Tensor::gelu`'s formula on the platform libm's `tanhf`.
+fn gelu_libm(x: &Tensor) -> Tensor {
+    let data = x.data().iter().map(|&x| 0.5 * x * (1.0 + (GELU_C * (x + 0.044_715 * x * x * x)).tanh()));
+    Tensor::from_vec(x.shape().to_vec(), data.collect()).unwrap()
+}
+
+/// `Tensor::gelu_grad`'s formula on the platform libm's `tanhf`.
+fn gelu_grad_libm(x: &Tensor, g: &Tensor) -> Tensor {
+    let data = x.data().iter().zip(g.data()).map(|(&x, &g)| {
+        let t = (GELU_C * (x + 0.044_715 * x * x * x)).tanh();
+        g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x))
+    });
+    Tensor::from_vec(x.shape().to_vec(), data.collect()).unwrap()
 }
 
 /// Materializes the transpose of every `(R, C)` slice of a rank-3 tensor.
@@ -315,6 +382,7 @@ fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)]) {
                 ("batched", dims(&[EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("padded", dims(&[PADDED_EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("transposed", dims(&TRANSPOSED)),
+                ("gelu", dims(&GELU_SHAPE)),
             ]),
         ),
         ("workers_auto", default_workers().into()),

@@ -12,7 +12,7 @@ use lancet_ir::{GateKind, Op};
 use lancet_moe::{route, CapacityState, Routing};
 use lancet_tensor::gemm::batched_matmul_t;
 use lancet_tensor::pool::{par_ranges, SharedSliceMut};
-use lancet_tensor::{PackedTensor, Tensor, TensorError};
+use lancet_tensor::{det, PackedTensor, Tensor, TensorError};
 
 /// Internal kernel failure, wrapped with instruction context by the
 /// executor.
@@ -391,7 +391,7 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>) ->
             for (ti, &tgt) in targets.data().iter().enumerate() {
                 let tgt = (tgt as usize).min(v - 1);
                 let p = probs.data()[ti * v + tgt].max(1e-12);
-                loss -= p.ln();
+                loss -= det::ln(p);
             }
             loss /= t as f32;
             Ok(vec![Tensor::from_vec(vec![1], vec![loss])?, probs])

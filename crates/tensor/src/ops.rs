@@ -9,6 +9,7 @@
 //! it. Both are bit-identical at any worker count (module docs carry the
 //! determinism contract).
 
+use crate::det;
 use crate::pool::{self, SharedSliceMut};
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -257,10 +258,14 @@ impl Tensor {
         let d = *self.shape().last().unwrap_or(&1);
         let data = rowwise_map(self.data(), d, |src, row| {
             let max = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
             for (x, &s) in row.iter_mut().zip(src) {
-                *x = (s - max).exp();
-                sum += *x;
+                *x = det::exp(s - max);
+            }
+            // A separate pass, so the `exp` loop above vectorizes while
+            // the sum stays sequential and ascending.
+            let mut sum = 0.0f32;
+            for &x in row.iter() {
+                sum += x;
             }
             if sum > 0.0 {
                 for x in row.iter_mut() {
@@ -530,25 +535,16 @@ impl Tensor {
     }
 }
 
-// Both GELU scalars return early at `x == ±0` with exactly the bits the
-// formula gives there (`tanh(±0) = ±0`): `gelu(±0) = ±0` and
-// `gelu'(±0) = 0.5`. MoE capacity padding makes half the expert-FFN
-// activations zero, and this skips their `tanh` calls.
+// Branch-free, so the element loops over them vectorize.
 fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    if x == 0.0 {
-        return x;
-    }
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + det::tanh(C * (x + 0.044_715 * x * x * x)))
 }
 
 fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
-    if x == 0.0 {
-        return 0.5;
-    }
     let inner = C * (x + 0.044_715 * x * x * x);
-    let t = inner.tanh();
+    let t = det::tanh(inner);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
 }
@@ -641,23 +637,26 @@ mod tests {
     }
 
     #[test]
-    fn gelu_zero_fast_path_matches_the_formula_bit_for_bit() {
-        // The unshortened formulas, as `gelu_scalar`/`gelu_grad_scalar`
-        // compute them for nonzero inputs.
+    fn gelu_at_signed_zero_matches_the_formula_bit_for_bit() {
+        // MoE capacity padding makes many expert-FFN activations ±0; the
+        // formula through `det::tanh` must keep their sign and give
+        // `gelu(±0) = ±0`, `gelu'(±0) = 0.5` exactly.
         const C: f32 = 0.797_884_6;
-        let gelu = |x: f32| 0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh());
+        let gelu = |x: f32| 0.5 * x * (1.0 + det::tanh(C * (x + 0.044_715 * x * x * x)));
         let grad = |x: f32| {
-            let t = (C * (x + 0.044_715 * x * x * x)).tanh();
+            let t = det::tanh(C * (x + 0.044_715 * x * x * x));
             0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044_715 * x * x)
         };
         let xs = t(vec![2], vec![0.0, -0.0]);
         for (y, &x) in xs.gelu().data().iter().zip(xs.data()) {
             assert_eq!(y.to_bits(), gelu(x).to_bits(), "gelu({x:?})");
+            assert_eq!(y.to_bits(), x.to_bits(), "gelu({x:?})");
         }
         for g0 in [0.0f32, -0.0, 1.0, -1.0] {
             let g = t(vec![2], vec![g0; 2]);
             let dx = xs.gelu_grad(&g).unwrap();
             for (d, &x) in dx.data().iter().zip(xs.data()) {
+                assert_eq!(grad(x).to_bits(), 0.5f32.to_bits(), "gelu'({x:?})");
                 assert_eq!(d.to_bits(), (g0 * grad(x)).to_bits(), "gelu_grad({x:?}, {g0:?})");
             }
         }
@@ -873,11 +872,11 @@ impl Tensor {
 }
 
 fn silu_scalar(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + det::exp(-x))
 }
 
 fn silu_grad_scalar(x: f32) -> f32 {
-    let s = 1.0 / (1.0 + (-x).exp());
+    let s = 1.0 / (1.0 + det::exp(-x));
     s * (1.0 + x * (1.0 - s))
 }
 

@@ -40,18 +40,18 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// `LANCET_WORKERS`, parsed at most once per process.
-///
-/// Returns `None` when the variable is unset, empty, unparsable, or `0`
-/// (all of which mean "auto-size from the machine").
+/// `LANCET_WORKERS`, parsed at most once per process (see
+/// [`parse_workers`]).
 pub fn env_workers() -> Option<usize> {
     static PARSED: OnceLock<Option<usize>> = OnceLock::new();
-    *PARSED.get_or_init(|| {
-        std::env::var("LANCET_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
+    *PARSED.get_or_init(|| parse_workers(std::env::var("LANCET_WORKERS").ok().as_deref()))
+}
+
+/// A `LANCET_WORKERS` value as a worker count. Unset, empty, unparsable,
+/// or `0` all give `None`, which means "auto-size from the machine";
+/// surrounding whitespace is ignored.
+fn parse_workers(value: Option<&str>) -> Option<usize> {
+    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
 /// The worker count a `workers: 0` knob resolves to on this machine:
@@ -355,6 +355,24 @@ impl<'a> SharedSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_values_parse_or_fall_back() {
+        // `None` is docs/CONFIG.md's default: auto-size from the machine.
+        let cases = [
+            (None, None),
+            (Some(""), None),
+            (Some(" 3 "), Some(3)),
+            (Some("\t1\n"), Some(1)),
+            (Some("0"), None),
+            (Some("-1"), None),
+            (Some("two"), None),
+            (Some("18446744073709551616"), None), // overflows usize
+        ];
+        for (value, want) in cases {
+            assert_eq!(parse_workers(value), want, "{value:?}");
+        }
+    }
 
     #[test]
     fn parallel_for_covers_every_task_once() {

@@ -244,33 +244,54 @@ fn parse_entry(obj: &str) -> Option<TuneEntry> {
     })
 }
 
-/// The table `LANCET_GEMM_TUNE` resolved to, loaded once per process.
-///
-/// Unset, empty, `0`, or `off` (any case) means no table. `1`/`on` loads
-/// the committed `results/TUNE_gemm.json` (resolved relative to the
-/// working directory, then the repo root); any other value is a path.
-/// Unreadable or unparsable content degrades to the empty table.
-fn active() -> &'static TuneTable {
-    static TABLE: OnceLock<TuneTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let raw = std::env::var("LANCET_GEMM_TUNE").unwrap_or_default();
-        let v = raw.trim();
+/// Where a `LANCET_GEMM_TUNE` value says the table comes from.
+#[derive(Debug, PartialEq, Eq)]
+enum TuneSource<'a> {
+    /// Unset, empty, `0`, or `off` (any case): no table.
+    Off,
+    /// `1`/`on` (any case): the committed `results/TUNE_gemm.json`.
+    Committed,
+    /// Any other value: a path to a table.
+    Path(&'a str),
+}
+
+impl<'a> TuneSource<'a> {
+    /// Parses a `LANCET_GEMM_TUNE` value; surrounding whitespace is
+    /// ignored.
+    fn parse(value: Option<&'a str>) -> Self {
+        let v = value.unwrap_or_default().trim();
         if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
-            return TuneTable::new();
+            TuneSource::Off
+        } else if v == "1" || v.eq_ignore_ascii_case("on") {
+            TuneSource::Committed
+        } else {
+            TuneSource::Path(v)
         }
-        let paths: &[&str] = if v == "1" || v.eq_ignore_ascii_case("on") {
-            &[
+    }
+
+    /// The table this source names. The committed table is resolved
+    /// relative to the working directory, then the repo root; unreadable
+    /// or unparsable content degrades to the empty table.
+    fn load(&self) -> TuneTable {
+        let paths: &[&str] = match self {
+            TuneSource::Off => &[],
+            TuneSource::Committed => &[
                 "results/TUNE_gemm.json",
                 concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/TUNE_gemm.json"),
-            ]
-        } else {
-            std::slice::from_ref(&v)
+            ],
+            TuneSource::Path(p) => std::slice::from_ref(p),
         };
         paths
             .iter()
             .find_map(|p| TuneTable::from_json(&std::fs::read_to_string(p).ok()?))
             .unwrap_or_default()
-    })
+    }
+}
+
+/// The table `LANCET_GEMM_TUNE` resolved to, loaded once per process.
+fn active() -> &'static TuneTable {
+    static TABLE: OnceLock<TuneTable> = OnceLock::new();
+    TABLE.get_or_init(|| TuneSource::parse(std::env::var("LANCET_GEMM_TUNE").ok().as_deref()).load())
 }
 
 /// The blocking [`gemm::matmul_tiled`] uses for an `(m, k, n)` problem:
@@ -405,6 +426,32 @@ pub fn tune_gpt2s_moe(opts: TuneOptions, mut on_entry: impl FnMut(&TuneEntry)) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tune_values_parse_or_fall_back() {
+        use TuneSource::{Committed, Off, Path};
+        let cases = [
+            (None, Off),
+            (Some(""), Off),
+            (Some(" \t"), Off),
+            (Some("0"), Off),
+            (Some(" OFF "), Off),
+            (Some("1"), Committed),
+            (Some(" On\n"), Committed),
+            (Some("-1"), Path("-1")),
+            (Some(" no/such/table.json "), Path("no/such/table.json")),
+            (Some("18446744073709551616"), Path("18446744073709551616")),
+        ];
+        for (value, want) in cases {
+            assert_eq!(TuneSource::parse(value), want, "{value:?}");
+        }
+        // A value naming no readable table gives docs/CONFIG.md's default:
+        // no table, so the fixed MC=64 KC=256 NC=512 blocking.
+        for value in [None, Some("0"), Some("-1"), Some("garbage"), Some("18446744073709551616")] {
+            assert!(TuneSource::parse(value).load().is_empty(), "{value:?}");
+        }
+        assert_eq!(BlockSpec::DEFAULT, BlockSpec { mc: 64, kc: 256, nc: 512 });
+    }
 
     fn entry(isa: &str, class: MClass, k: usize, n: usize, mc: usize) -> TuneEntry {
         TuneEntry {

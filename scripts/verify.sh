@@ -15,6 +15,17 @@ if grep -rniE 'cbf2_?9ce4_?8422_?2325|bf58_?476d_?1ce4_?e5b9' crates src tests |
     exit 1
 fi
 
+echo "==> transcendentals come from lancet_tensor::det"
+# Kernels call det::exp/tanh/ln, never the platform libm, whose results
+# differ between libc versions and would make every value pin depend on
+# the host. A libm `exp`, `tanh` or `ln` call in the tensor or exec
+# crates outside det.rs fails here.
+if grep -rnE '(\.|\bf(32|64)::)(exp|tanh|ln)\(' crates/tensor/src crates/exec/src |
+    grep -v '^crates/tensor/src/det\.rs:'; then
+    echo "error: libm exp/tanh/ln in a kernel crate; use lancet_tensor::det" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -33,8 +44,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 echo "==> cargo bench -p lancet-bench --bench kernels -- --quick"
 # Smoke run of the compute-backend benchmark: asserts the tiled engine is
 # bit-identical to the naive reference and still beats it by the floor in
-# ISSUE/EXPERIMENTS, and that prepacked weight panels beat repack-per-call
-# at the decode-step shape (no artifact is written in --quick mode).
+# EXPERIMENTS.md, that prepacked weight panels beat repack-per-call
+# at the decode-step shape, and that GELU and GELU-grad on det::tanh beat
+# libm's tanhf by >= 3x (no artifact is written in --quick mode).
 cargo bench -p lancet-bench --bench kernels -- --quick
 
 echo "==> committed BENCH_kernels.json records the prepack win"
