@@ -57,7 +57,11 @@ const MIN_PREPACK_SPEEDUP: f64 = 1.15;
 /// (half the multiply-adds are skipped; the recorded run is well above).
 const MIN_PADDED_SPEEDUP: f64 = 1.3;
 /// Samples per side for the padded-vs-dense ratio (~25 ms per dense
-/// call).
+/// call). The gate reads the median of the per-round ratios
+/// ([`Summary::median_ratio`]): min over min pairs calls from different
+/// rounds and moves with the host. On a shared 2-core AVX-512 host, 38
+/// quick runs read 1.41–2.14x min over min; 28 of them read 1.60–1.76x
+/// as the paired median.
 const PADDED_SAMPLES: usize = 20;
 /// Samples per side for the transposed batched rows (~2 ms per naive
 /// call).
@@ -264,6 +268,7 @@ fn main() {
     let prepack_batch = speedup(&batch[0], &batch[1]);
     let prepack_experts = speedup(&experts_prepack[0], &experts_prepack[1]);
     let padded = speedup(&padded_rows[0], &padded_rows[1]);
+    let padded_paired = padded_rows[0].median_ratio(&padded_rows[1]);
     let gelu_det = speedup(&gelu[0], &gelu[1]);
     let gelu_grad_det = speedup(&gelu_grad[0], &gelu_grad[1]);
 
@@ -279,8 +284,8 @@ fn main() {
     println!("  step  (m={STEP_TOKENS:<3})   {prepack_step:>7.2}x");
     println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x");
     println!("  experts (bt={EXPERTS})  {prepack_experts:>7.2}x");
-    println!("speedup of half-padded over dense expert buffers (zero-group skip):");
-    println!("  experts (bt={PADDED_EXPERTS})  {padded:>7.2}x");
+    println!("speedup of half-padded over dense expert buffers (zero-group skip, median of rounds):");
+    println!("  experts (bt={PADDED_EXPERTS})  {padded_paired:>7.2}x");
     println!("speedup of det::tanh over libm tanhf (one thread):");
     println!("  gelu             {gelu_det:>7.2}x");
     println!("  gelu_grad        {gelu_grad_det:>7.2}x");
@@ -303,8 +308,8 @@ fn main() {
          {MIN_PREPACK_SPEEDUP}x floor"
     );
     assert!(
-        padded >= MIN_PADDED_SPEEDUP,
-        "zero-group skip regression: padded speedup {padded:.2}x < {MIN_PADDED_SPEEDUP}x floor"
+        padded_paired >= MIN_PADDED_SPEEDUP,
+        "zero-group skip regression: padded speedup {padded_paired:.2}x < {MIN_PADDED_SPEEDUP}x floor"
     );
 
     let worst_gelu = gelu_det.min(gelu_grad_det);

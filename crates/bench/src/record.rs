@@ -130,8 +130,7 @@ fn escape_json(s: &str) -> String {
 }
 
 /// A JSON value: the one writer behind every `results/BENCH_*.json`
-/// artifact and figure record. (`results/TUNE_gemm.json` keeps its own
-/// writer in `lancet_tensor::tune`, because the runtime parses it back.)
+/// artifact and figure record.
 ///
 /// Values are built only through [`Json::obj`], [`Json::arr`],
 /// [`Json::fixed`] and the `From` impls, so every string is escaped and

@@ -13,8 +13,8 @@ pub struct Summary {
     pub mean_ns: f64,
     /// Fastest call, in nanoseconds.
     pub min_ns: f64,
-    /// Number of timed calls.
-    pub samples: usize,
+    /// Each timed call, in nanoseconds, in round order.
+    pub times_ns: Vec<f64>,
 }
 
 impl Summary {
@@ -24,8 +24,20 @@ impl Summary {
             ("name", self.name.as_str().into()),
             ("mean_ns", Json::fixed(self.mean_ns, 1)),
             ("min_ns", Json::fixed(self.min_ns, 1)),
-            ("samples", self.samples.into()),
+            ("samples", self.times_ns.len().into()),
         ])
+    }
+
+    /// The median over rounds of `self`'s call time over `den`'s, for two
+    /// rows of one [`interleaved`] group. Each round runs both calls back
+    /// to back, so a slow phase of the host lands on both sides of a
+    /// ratio; a min-over-min ratio instead pairs calls from different
+    /// rounds and moves with the host.
+    pub fn median_ratio(&self, den: &Summary) -> f64 {
+        let mut ratios: Vec<f64> =
+            self.times_ns.iter().zip(&den.times_ns).map(|(n, d)| n / d.max(1.0)).collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
     }
 }
 
@@ -50,13 +62,13 @@ pub fn interleaved<const N: usize>(
         }
     }
     fs.iter()
-        .zip(&times)
+        .zip(times)
         .map(|((name, _), t)| {
             let s = Summary {
                 name: format!("{group}/{name}"),
                 mean_ns: t.iter().sum::<f64>() / samples as f64,
                 min_ns: t.iter().copied().fold(f64::INFINITY, f64::min),
-                samples,
+                times_ns: t,
             };
             let (mean, min) = (s.mean_ns / 1e6, s.min_ns / 1e6);
             println!("{:<44} mean {mean:>10.3} ms   min {min:>10.3} ms", s.name);
@@ -75,7 +87,23 @@ mod tests {
         let rows = interleaved("g", 3, [("a", &mut || a += 1), ("b", &mut || b += 1)]);
         assert_eq!((a, b), (4, 4));
         assert_eq!(rows.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["g/a", "g/b"]);
-        assert!(rows.iter().all(|s| s.samples == 3 && s.min_ns <= s.mean_ns));
+        assert!(rows.iter().all(|s| s.times_ns.len() == 3 && s.min_ns <= s.mean_ns));
         assert!(rows[0].to_json().render().starts_with("{\"name\": \"g/a\", \"mean_ns\": "));
+    }
+
+    #[test]
+    fn median_ratio_pairs_calls_by_round() {
+        let row = |times_ns: Vec<f64>| Summary {
+            name: String::new(),
+            mean_ns: 0.0,
+            min_ns: 0.0,
+            times_ns,
+        };
+        // Round 2 ran in a slow phase on both sides, and round 3's `den`
+        // call hit a fast one: min over min reads 10 / 2 = 5x, while the
+        // median of the paired ratios stays at 2x.
+        let num = row(vec![10.0, 20.0, 10.0]);
+        let den = row(vec![5.0, 10.0, 2.0]);
+        assert_eq!(num.median_ratio(&den), 2.0);
     }
 }

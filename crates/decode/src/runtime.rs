@@ -53,9 +53,9 @@ use lancet_core::{Lancet, LancetOptions};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_models::GptMoeConfig;
 use lancet_serve::{
-    canonical_weights, drop_free, resolve_queue_depth, retry, Admission, CanonicalWeights,
-    FaultInjector, FaultSpec, Metrics, Phase, Plan, PlanCache, PlanKey, Registry, Result,
-    ServeError, ServeStats, State, Step,
+    canonical_weights, drop_free, retry, Admission, CanonicalWeights, FaultInjector, FaultSpec,
+    Metrics, Phase, Plan, PlanCache, PlanKey, Registry, Result, ServeError, ServeStats, State,
+    Step,
 };
 use lancet_tensor::Tensor;
 
@@ -73,9 +73,8 @@ pub enum BatchMode {
     Windowed,
 }
 
-/// Decode runtime configuration. A zero count limit (`max_inflight`,
-/// `kv_capacity_tokens`, `plan_capacity`) means 1; `queue_depth`
-/// resolves a zero as documented on it.
+/// Decode runtime configuration. A zero count limit (`queue_depth`,
+/// `max_inflight`, `kv_capacity_tokens`, `plan_capacity`) means 1.
 #[derive(Debug, Clone)]
 pub struct DecodeConfig {
     /// Cluster kind for prefill plan optimization and cache keying.
@@ -91,11 +90,8 @@ pub struct DecodeConfig {
     /// continuous batch. `ZERO`, the default, never waits. Trades a
     /// bounded ITL bump for larger steps.
     pub step_deadline: Duration,
-    /// Admission queue bound (0 → `LANCET_SERVE_QUEUE_DEPTH` → 256), the
-    /// same resolution as [`ServeConfig::queue_depth`]; excess submissions
-    /// are rejected with [`ServeError::Overloaded`].
-    ///
-    /// [`ServeConfig::queue_depth`]: lancet_serve::ServeConfig::queue_depth
+    /// Admission queue bound (default 256); excess submissions are
+    /// rejected with [`ServeError::Overloaded`].
     pub queue_depth: usize,
     /// Prefill plan-cache capacity.
     pub plan_capacity: usize,
@@ -118,7 +114,7 @@ impl Default for DecodeConfig {
             max_inflight: 8,
             kv_capacity_tokens: 4096,
             step_deadline: Duration::ZERO,
-            queue_depth: 0,
+            queue_depth: 256,
             plan_capacity: 8,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
@@ -183,13 +179,14 @@ impl DecodeRuntime {
     /// Start the runtime: spawns the scheduler thread.
     pub fn start(cfg: DecodeConfig) -> Self {
         let config = DecodeConfig {
+            queue_depth: cfg.queue_depth.max(1),
             max_inflight: cfg.max_inflight.max(1),
             kv_capacity_tokens: cfg.kv_capacity_tokens.max(1),
             plan_capacity: cfg.plan_capacity.max(1),
             ..cfg
         };
         let shared = Arc::new(Shared {
-            admission: Admission::new(resolve_queue_depth(config.queue_depth)),
+            admission: Admission::new(config.queue_depth),
             models: Registry::default(),
             metrics: Metrics::new(),
             cache: PlanCache::new(config.plan_capacity),

@@ -21,6 +21,7 @@ fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
 fn zero_limits_mean_one() {
     let cfg = GptMoeConfig::tiny(1, GateKind::Switch);
     let serve = [
+        ("queue_depth", ServeConfig { queue_depth: 0, ..ServeConfig::default() }),
         ("max_batch", ServeConfig { max_batch: 0, ..ServeConfig::default() }),
         ("plan_capacity", ServeConfig { plan_capacity: 0, ..ServeConfig::default() }),
     ];
@@ -43,6 +44,7 @@ fn zero_limits_mean_one() {
     let fits = Ok(vec![2, 2]);
     let refused = Err("bad request");
     let decode = [
+        ("queue_depth", DecodeConfig { queue_depth: 0, ..DecodeConfig::default() }, fits.clone()),
         ("max_inflight", DecodeConfig { max_inflight: 0, ..DecodeConfig::default() }, fits.clone()),
         ("plan_capacity", DecodeConfig { plan_capacity: 0, ..DecodeConfig::default() }, fits),
         ("kv_capacity_tokens", DecodeConfig { kv_capacity_tokens: 0, ..DecodeConfig::default() }, refused),

@@ -45,23 +45,10 @@ use lancet_serve::{
 };
 use lancet_tensor::{det, Tensor};
 
-/// Fallback replica count when neither [`FleetConfig::replicas`] nor
-/// `LANCET_REPLICAS` specifies one.
-const DEFAULT_REPLICAS: usize = 2;
-
-/// `LANCET_REPLICAS`, parsed per call. Unset, empty, unparsable, or `0`
-/// all mean "use the default".
-fn env_replicas() -> Option<usize> {
-    std::env::var("LANCET_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// Fleet knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Replica count. `0` reads `LANCET_REPLICAS`, falling back to 2.
+    /// Replica count (default 2). `0` means 1.
     pub replicas: usize,
     /// Per-replica runtime configuration (every replica is identical).
     pub serve: ServeConfig,
@@ -74,7 +61,7 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig { replicas: 0, serve: ServeConfig::default(), steal_threshold: 4 }
+        FleetConfig { replicas: 2, serve: ServeConfig::default(), steal_threshold: 4 }
     }
 }
 
@@ -159,13 +146,9 @@ impl FleetTicket {
 }
 
 impl Fleet {
-    /// Starts `config.replicas` identical [`ServeRuntime`]s.
+    /// Starts `config.replicas` (at least 1) identical [`ServeRuntime`]s.
     pub fn start(config: FleetConfig) -> Fleet {
-        let n = if config.replicas > 0 {
-            config.replicas
-        } else {
-            env_replicas().unwrap_or(DEFAULT_REPLICAS)
-        };
+        let n = config.replicas.max(1);
         let replicas: Vec<_> =
             (0..n).map(|_| ServeRuntime::start(config.serve.clone())).collect();
         let healthy = (0..n).map(|_| AtomicBool::new(true)).collect();

@@ -72,6 +72,11 @@ fn routing_is_stable_and_health_aware() {
     strict.submit_blocking("routed", prompt(&cfg, 99)).unwrap();
     strict.shutdown();
     fleet.shutdown();
+
+    // A zero replica count reads as 1.
+    let single = Fleet::start(FleetConfig { replicas: 0, ..FleetConfig::default() });
+    assert_eq!(single.replicas(), 1);
+    single.shutdown();
 }
 
 #[test]

@@ -69,6 +69,6 @@ pub use cache::{CacheStats, PlanCache};
 pub use error::{Result, ServeError};
 pub use fault::{FaultInjector, FaultSpec};
 pub use plan::{canonical_weights, pack_weights, CanonicalWeights, PackSet, Plan, PlanKey};
-pub use runtime::{resolve_queue_depth, ServeConfig, ServeRuntime, Ticket};
+pub use runtime::{ServeConfig, ServeRuntime, Ticket};
 pub use stats::{Metrics, ServeStats};
 pub use trace::{open_loop_trace, replay_open_loop, ReplayReport, TraceRequest};

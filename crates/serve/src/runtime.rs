@@ -51,41 +51,15 @@ use crate::plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 use crate::stats::{Metrics, ServeStats};
 use crate::{Result, ServeError};
 
-/// Fallback admission-queue depth when neither the config nor
-/// `LANCET_SERVE_QUEUE_DEPTH` specifies one.
-const DEFAULT_QUEUE_DEPTH: usize = 256;
-
-/// The admission-queue bound of the serve and decode runtimes:
-/// `configured` when nonzero, else `LANCET_SERVE_QUEUE_DEPTH` (read per
-/// call; tests mutate it), else 256.
-pub fn resolve_queue_depth(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        parse_queue_depth(std::env::var("LANCET_SERVE_QUEUE_DEPTH").ok().as_deref())
-    }
-}
-
-/// A `LANCET_SERVE_QUEUE_DEPTH` value as a depth. Unset, empty,
-/// unparsable, or `0` all mean the default; surrounding whitespace is
-/// ignored.
-fn parse_queue_depth(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_QUEUE_DEPTH)
-}
-
-/// Serving-runtime knobs. A zero count limit (`max_batch`,
-/// `plan_capacity`) means 1; `queue_depth` and `exec_workers` resolve a
-/// zero as documented on them.
+/// Serving-runtime knobs. A zero count limit (`queue_depth`,
+/// `max_batch`, `plan_capacity`) means 1; `exec_workers` resolves a zero
+/// as documented on it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Device generation the plan optimizer's cost models target.
     pub cluster: ClusterKind,
     /// Admission-queue bound; requests beyond it are rejected with
-    /// [`ServeError::Overloaded`]. `0` reads `LANCET_SERVE_QUEUE_DEPTH`,
-    /// falling back to 256.
+    /// [`ServeError::Overloaded`] (default 256).
     pub queue_depth: usize,
     /// Most requests per micro-batch (buckets are powers of two up to
     /// this, rounded up). `0` means 1.
@@ -144,7 +118,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             cluster: ClusterKind::A100,
-            queue_depth: 0,
+            queue_depth: 256,
             max_batch: 8,
             batch_window: Duration::from_millis(2),
             latency_budget: Duration::ZERO,
@@ -273,6 +247,7 @@ impl ServeRuntime {
     /// [`register_model`](Self::register_model).
     pub fn start(config: ServeConfig) -> Arc<ServeRuntime> {
         let config = ServeConfig {
+            queue_depth: config.queue_depth.max(1),
             max_batch: config.max_batch.max(1),
             plan_capacity: config.plan_capacity.max(1),
             ..config
@@ -282,7 +257,7 @@ impl ServeRuntime {
             silence_injected_panics();
         }
         let shared = Arc::new(Shared {
-            admission: Admission::new(resolve_queue_depth(config.queue_depth)),
+            admission: Admission::new(config.queue_depth),
             // Enough slack that workers rarely idle, small enough that a
             // stalled executor backpressures the batcher quickly.
             exec: Admission::new(exec_workers * 2),
@@ -446,9 +421,8 @@ impl ServeRuntime {
         &self.shared.cache
     }
 
-    /// The resolved admission-queue bound: the configured `queue_depth`,
-    /// or — when that was `0` — `LANCET_SERVE_QUEUE_DEPTH`, falling back
-    /// to the built-in default of 256.
+    /// The admission-queue bound: the configured `queue_depth`, or 1
+    /// when that was `0`.
     pub fn queue_capacity(&self) -> usize {
         self.shared.admission.depth()
     }
@@ -899,23 +873,5 @@ mod tests {
         assert_eq!(bucket_for(3), 4);
         assert_eq!(bucket_for(8), 8);
         assert_eq!(bucket_for(9), 16);
-    }
-
-    #[test]
-    fn queue_depth_values_parse_or_fall_back() {
-        // The pure parser; `tests/env_and_errors.rs` drives the env var
-        // itself through a runtime.
-        let cases = [
-            (None, 256),
-            (Some(""), 256),
-            (Some(" 12 "), 12),
-            (Some("0"), 256),
-            (Some("-3"), 256),
-            (Some("abc"), 256),
-            (Some("18446744073709551616"), 256), // overflows usize
-        ];
-        for (value, want) in cases {
-            assert_eq!(parse_queue_depth(value), want, "{value:?}");
-        }
     }
 }

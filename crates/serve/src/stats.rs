@@ -183,7 +183,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// A point-in-time view of the runtime's health — the numbers an operator
 /// watches and the serve bench records.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
@@ -330,41 +330,6 @@ impl ServeStats {
         out.itl_p95_ms = percentile(&out.itl_samples, 0.95);
         out.mean_batch = if out.batches == 0 { 0.0 } else { batch_weighted / out.batches as f64 };
         out
-    }
-}
-
-impl Default for ServeStats {
-    fn default() -> Self {
-        ServeStats {
-            submitted: 0,
-            completed: 0,
-            rejected_overload: 0,
-            shed_deadline: 0,
-            failed: 0,
-            timed_out: 0,
-            batches: 0,
-            injected_faults: 0,
-            retried: 0,
-            degraded: 0,
-            worker_panics: 0,
-            placement_hits: 0,
-            placement_misses: 0,
-            crashed: 0,
-            queue_depth: 0,
-            cache: CacheStats::default(),
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            ttft_p50_ms: 0.0,
-            ttft_p95_ms: 0.0,
-            itl_p50_ms: 0.0,
-            itl_p95_ms: 0.0,
-            throughput_rps: 0.0,
-            mean_batch: 0.0,
-            latency_samples: Vec::new(),
-            ttft_samples: Vec::new(),
-            itl_samples: Vec::new(),
-        }
     }
 }
 

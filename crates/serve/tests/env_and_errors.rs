@@ -1,41 +1,8 @@
-//! Configuration-surface contracts: `LANCET_SERVE_QUEUE_DEPTH` parsing
-//! through the runtime's resolved queue capacity, and the stability of
-//! `ServeError`'s typed variants and Display strings (clients match on
-//! both; changing them is a breaking change that must fail a test).
+//! Contracts of `ServeError`: the stability of its typed variants and
+//! Display strings (clients match on both; changing them is a breaking
+//! change that must fail a test).
 
-use lancet_serve::{ServeConfig, ServeError, ServeRuntime};
-
-/// Every `LANCET_SERVE_QUEUE_DEPTH` parsing variant in one test —
-/// process-global env mutation is not safe under the parallel test
-/// harness across multiple `#[test]`s, so the scenarios run sequentially
-/// here. The resolved bound is observed via `ServeRuntime::queue_capacity`.
-#[test]
-fn queue_depth_env_parsing() {
-    let capacity_with = |env: Option<&str>, configured: usize| -> usize {
-        match env {
-            Some(v) => std::env::set_var("LANCET_SERVE_QUEUE_DEPTH", v),
-            None => std::env::remove_var("LANCET_SERVE_QUEUE_DEPTH"),
-        }
-        let runtime = ServeRuntime::start(ServeConfig {
-            queue_depth: configured,
-            exec_workers: 1,
-            ..ServeConfig::default()
-        });
-        let capacity = runtime.queue_capacity();
-        runtime.shutdown();
-        capacity
-    };
-
-    assert_eq!(capacity_with(None, 0), 256, "unset env ⇒ built-in default");
-    assert_eq!(capacity_with(Some("64"), 0), 64, "valid env value is honoured");
-    assert_eq!(capacity_with(Some(" 32 "), 0), 32, "surrounding whitespace tolerated");
-    assert_eq!(capacity_with(Some("garbage"), 0), 256, "unparsable ⇒ default");
-    assert_eq!(capacity_with(Some(""), 0), 256, "empty ⇒ default");
-    assert_eq!(capacity_with(Some("0"), 0), 256, "zero would admit nothing ⇒ default");
-    assert_eq!(capacity_with(Some("-5"), 0), 256, "negative ⇒ default");
-    assert_eq!(capacity_with(Some("64"), 8), 8, "an explicit config beats the env");
-    std::env::remove_var("LANCET_SERVE_QUEUE_DEPTH");
-}
+use lancet_serve::ServeError;
 
 /// Display strings are a stable part of the serving API: operators grep
 /// logs for them and clients surface them verbatim.

@@ -15,8 +15,7 @@
 //!
 //! Corrupt, truncated, or wrong-version files fail with a typed
 //! [`StoreError`] — never UB, never a panic. See `docs/ARCHITECTURE.md`
-//! for the layout diagram and `docs/CONFIG.md` for the `LANCET_STORE_*`
-//! environment switches.
+//! for the layout diagram and [`OpenOptions`] for the open-time switches.
 //!
 //! # Example
 //!
@@ -49,6 +48,6 @@ mod reader;
 mod writer;
 
 pub use error::StoreError;
-pub use mapping::{mmap_enabled, mmap_supported};
+pub use mapping::mmap_supported;
 pub use reader::{open_store, open_store_with, OpenOptions, StoredModel};
 pub use writer::{write_store, StoredPacks, WriteSummary};

@@ -5,7 +5,8 @@
 //! The workspace is hermetic — no `libc`/`memmap2` — so the mapping is a
 //! raw `mmap(2)` syscall, currently wired for Linux on x86_64 and aarch64
 //! (little-endian, where reinterpreting mapped bytes as `f32` words is the
-//! identity). Everything else, plus `LANCET_STORE_MMAP=0`, takes the
+//! identity). Everything else, plus an open with
+//! [`OpenOptions::mmap`](crate::OpenOptions::mmap) off, takes the
 //! [`HeapOwner`] path: read the file once and decode little-endian words —
 //! still a correct load, just O(copy) instead of O(open).
 
@@ -18,26 +19,13 @@ use lancet_tensor::BufOwner;
 
 use crate::StoreError;
 
-/// Whether this build can map files at all (the env switch is consulted
-/// separately at open time).
+/// Whether this build can map files at all.
 pub fn mmap_supported() -> bool {
     cfg!(all(
         target_os = "linux",
         target_endian = "little",
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))
-}
-
-/// Whether opening should try to map, honoring `LANCET_STORE_MMAP`
-/// (`0`/`false`/`off` force the heap fallback).
-pub fn mmap_enabled() -> bool {
-    if !mmap_supported() {
-        return false;
-    }
-    match std::env::var("LANCET_STORE_MMAP") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
 }
 
 /// A file's contents as `f32` words, either mapped or heap-decoded.

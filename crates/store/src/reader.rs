@@ -10,22 +10,26 @@ use std::sync::Arc;
 use lancet_tensor::{BlockSpec, PackedTensor, Tensor};
 
 use crate::format::{fnv1a, Cursor, Header, TocEntry, DEVICE_ALL, HEADER_LEN, KIND_PACK};
-use crate::mapping::{mmap_enabled, FileBuf};
+use crate::mapping::FileBuf;
 use crate::writer::StoredPacks;
 use crate::StoreError;
 
-/// Knobs for [`open_store_with`]. `None` fields read their environment
-/// default (`LANCET_STORE_MMAP`, `LANCET_STORE_VERIFY`).
-#[derive(Debug, Clone, Copy, Default)]
+/// Knobs for [`open_store_with`].
+#[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Map the file instead of heap-loading it (zero-copy). `None`
-    /// follows `LANCET_STORE_MMAP` (default on, where supported).
-    pub mmap: Option<bool>,
+    /// Map the file instead of heap-loading it (zero-copy). Default on;
+    /// platforms that cannot map fall back to the heap either way.
+    pub mmap: bool,
     /// Verify the data-section checksum at open. Costs a full read of the
     /// weights — O(copy), exactly what mapping avoids — so the default
-    /// (`LANCET_STORE_VERIFY`, off) only verifies header + TOC; flip it
-    /// on for untrusted files.
-    pub verify_data: Option<bool>,
+    /// (off) only verifies header + TOC; turn it on for untrusted files.
+    pub verify_data: bool,
+}
+
+impl Default for OpenOptions {
+    fn default() -> Self {
+        OpenOptions { mmap: true, verify_data: false }
+    }
 }
 
 /// A model loaded from a store file. Tensors and packs borrow the backing
@@ -60,7 +64,7 @@ impl std::fmt::Debug for StoredModel {
     }
 }
 
-/// [`open_store_with`] under environment-default options.
+/// [`open_store_with`] under default options.
 ///
 /// # Errors
 ///
@@ -148,7 +152,7 @@ pub fn open_store_with(path: &Path, opts: OpenOptions) -> Result<StoredModel, St
         }
     }
 
-    if opts.verify_data.unwrap_or_else(env_verify_data) {
+    if opts.verify_data {
         let mut data = vec![0u8; header.data_len as usize];
         read_at(&mut file, header.data_off, &mut data, file_len)?;
         if fnv1a(&data) != header.data_checksum {
@@ -157,8 +161,7 @@ pub fn open_store_with(path: &Path, opts: OpenOptions) -> Result<StoredModel, St
     }
     drop(file);
 
-    let want_mmap = opts.mmap.unwrap_or_else(mmap_enabled);
-    let (owner, mapped) = FileBuf::open(path, want_mmap)?;
+    let (owner, mapped) = FileBuf::open(path, opts.mmap)?;
     // The owner exposes the whole file as words; a payload at byte
     // offset `o` starts at word `o / 4` (offsets are word-aligned).
     if (owner.as_f32().len() as u64) < data_end / 4 {
@@ -213,13 +216,6 @@ fn devices_of(device: u32, devices: usize) -> std::ops::Range<usize> {
     } else {
         device as usize..device as usize + 1
     }
-}
-
-fn env_verify_data() -> bool {
-    matches!(
-        std::env::var("LANCET_STORE_VERIFY").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
 }
 
 fn read_fully(file: &mut File, buf: &mut [u8], file_len: u64) -> Result<(), StoreError> {

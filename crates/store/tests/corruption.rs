@@ -50,7 +50,7 @@ fn round_trip_is_bit_identical_mapped_and_heap() {
     for mmap in [true, false] {
         let model = open_store_with(
             &path,
-            OpenOptions { mmap: Some(mmap), verify_data: Some(true) },
+            OpenOptions { mmap, verify_data: true },
         )
         .unwrap();
         assert_eq!(model.name, "sample");
@@ -154,9 +154,9 @@ fn corrupted_data_is_caught_when_verification_is_on() {
     bytes[at] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
     // Cheap open (header + TOC only) accepts it: the O(open) contract.
-    assert!(open_store_with(&path, OpenOptions { mmap: None, verify_data: Some(false) }).is_ok());
+    assert!(open_store_with(&path, OpenOptions::default()).is_ok());
     // Deep verification rejects it.
-    let err = open_store_with(&path, OpenOptions { mmap: None, verify_data: Some(true) })
+    let err = open_store_with(&path, OpenOptions { verify_data: true, ..OpenOptions::default() })
         .unwrap_err();
     assert!(matches!(err, StoreError::ChecksumMismatch { section: "data" }), "{err:?}");
     std::fs::remove_file(&path).ok();

@@ -27,11 +27,11 @@
 //!    elements only, so lane width never changes results; no FMA
 //!    contraction is used).
 //!
-//! The cache blocking `mc/kc/nc` is a runtime [`BlockSpec`]: fixed
-//! constants by default, optionally specialized per shape class and ISA by
-//! the [`crate::tune`] autotuner. Weights that never change between calls
-//! can skip step 1 entirely by being packed once into a
-//! [`PackedTensor`](crate::PackedTensor) and multiplied via
+//! The cache blocking `mc/kc/nc` is a runtime [`BlockSpec`]: the fixed
+//! constants ([`BlockSpec::DEFAULT`]) for every entry point that does not
+//! take one explicitly. Weights that never change between calls can skip
+//! step 1 entirely by being packed once into a [`crate::PackedTensor`]
+//! and multiplied via
 //! [`matmul_packed`] / [`batched_matmul_packed`].
 //!
 //! # Determinism contract
@@ -105,9 +105,9 @@ const SMALL_GEMM: usize = 32 * 32 * 32;
 /// `MR`/`NR` (the register tile) stay compile-time constants — the
 /// micro-kernel holds its accumulators in fixed-size arrays — but the
 /// cache blocking is data: [`BlockSpec::DEFAULT`] reproduces the fixed
-/// constants, and the [`crate::tune`] module can substitute per-shape,
-/// per-ISA tuned values. Any valid spec produces bit-identical results
-/// (see the module docs); only wall-clock changes.
+/// constants, and a store file records the spec each pack was built with.
+/// Any valid spec produces bit-identical results (see the module docs);
+/// only wall-clock changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockSpec {
     /// Rows per packed `A` block.
@@ -120,14 +120,13 @@ pub struct BlockSpec {
 
 impl BlockSpec {
     /// The compiled-in blocking ([`MC`], [`KC`], [`NC`]) — the default and
-    /// the fallback whenever no tuned entry applies.
+    /// the fallback for any invalid spec.
     pub const DEFAULT: BlockSpec = BlockSpec { mc: MC, kc: KC, nc: NC };
 
-    /// Bounds-checks a spec (e.g. one parsed from a tuned table on disk)
-    /// so corrupt input cannot request absurd pack buffers or a zero
-    /// blocking factor. Entry points silently substitute
-    /// [`BlockSpec::DEFAULT`] for invalid specs, per the repo-wide
-    /// "garbage degrades to the default" configuration rule.
+    /// Bounds-checks a spec (e.g. one read from a store file) so corrupt
+    /// input cannot request absurd pack buffers or a zero blocking
+    /// factor. Entry points silently substitute [`BlockSpec::DEFAULT`]
+    /// for invalid specs.
     pub fn is_valid(&self) -> bool {
         (1..=8192).contains(&self.mc)
             && (1..=8192).contains(&self.kc)
@@ -135,7 +134,7 @@ impl BlockSpec {
     }
 
     /// `self` if valid, otherwise the default blocking.
-    fn sanitized(self) -> BlockSpec {
+    pub(crate) fn sanitized(self) -> BlockSpec {
         if self.is_valid() {
             self
         } else {
@@ -218,9 +217,8 @@ fn reference_into(
 ///
 /// `workers = 0` auto-sizes from the shared pool
 /// ([`pool::default_workers`]); `workers = 1` runs sequentially on the
-/// calling thread. Blocking comes from the active tuned table
-/// ([`crate::tune::spec_for`]), falling back to [`BlockSpec::DEFAULT`].
-/// Any value of either knob is bit-identical to [`matmul_reference`].
+/// calling thread. Blocking is [`BlockSpec::DEFAULT`]. Any worker count
+/// is bit-identical to [`matmul_reference`].
 ///
 /// # Errors
 ///
@@ -230,12 +228,12 @@ pub fn matmul_tiled(a: &Tensor, b: &Tensor, ta: bool, tb: bool, workers: usize) 
     if m * k * n <= SMALL_GEMM {
         return matmul_reference(a, b, ta, tb);
     }
-    matmul_tiled_spec(a, b, ta, tb, workers, crate::tune::spec_for(m, k, n))
+    matmul_tiled_spec(a, b, ta, tb, workers, BlockSpec::DEFAULT)
 }
 
 /// [`matmul_tiled`] with an explicit [`BlockSpec`] and no small-problem
-/// cutoff — the autotuner's measurement entry point, also used by tests to
-/// pin non-default blockings. Invalid specs degrade to the default.
+/// cutoff, used by tests to pin non-default blockings. Invalid specs
+/// degrade to the default.
 ///
 /// # Errors
 ///
@@ -367,7 +365,7 @@ pub fn batched_matmul_t(a: &Tensor, b: &Tensor, ta: bool, tb: bool, workers: usi
     if bt * m * k * n <= SMALL_GEMM {
         batched_reference_into(bt, m, k, n, a, ta, b, tb, &mut out);
     } else {
-        let spec = crate::tune::spec_for(m, k, n);
+        let spec = BlockSpec::DEFAULT;
         let w = pool::resolve_workers(workers);
         let (bpack, finite) = pack_b(spec, bt, k, n, b.data(), b.shape()[2], tb, w);
         batched_gemm_packed(spec, bt, m, k, n, a.data(), a.shape()[2], ta, &bpack, &finite, &mut out, w);

@@ -35,7 +35,6 @@ pub mod pool;
 mod shape;
 pub mod storage;
 mod tensor;
-pub mod tune;
 
 pub use error::TensorError;
 pub use gemm::BlockSpec;

@@ -77,20 +77,14 @@ impl PartialEq for PackedTensor {
 }
 
 impl PackedTensor {
-    /// Packs a rank-2 operand (resolving a virtual transpose), choosing
-    /// blocking from the active tuned table
-    /// ([`crate::tune::spec_for_pack`]) and auto-sizing workers.
+    /// Packs a rank-2 operand (resolving a virtual transpose) with
+    /// [`BlockSpec::DEFAULT`], auto-sizing workers.
     ///
     /// # Errors
     ///
     /// [`TensorError::RankMismatch`] unless `b` is rank-2.
     pub fn pack(b: &Tensor, transpose_b: bool) -> Result<PackedTensor> {
-        if b.rank() != 2 {
-            return Err(TensorError::RankMismatch { op: "pack", expected: 2, actual: b.rank() });
-        }
-        let (br, bc) = (b.shape()[0], b.shape()[1]);
-        let (k, n) = if transpose_b { (bc, br) } else { (br, bc) };
-        Self::pack_with(b, transpose_b, crate::tune::spec_for_pack(k, n), 0)
+        Self::pack_with(b, transpose_b, BlockSpec::DEFAULT, 0)
     }
 
     /// [`PackedTensor::pack`] with an explicit blocking and worker count.
@@ -108,7 +102,7 @@ impl PackedTensor {
         if b.rank() != 2 {
             return Err(TensorError::RankMismatch { op: "pack", expected: 2, actual: b.rank() });
         }
-        let spec = if spec.is_valid() { spec } else { BlockSpec::DEFAULT };
+        let spec = spec.sanitized();
         let (br, bc) = (b.shape()[0], b.shape()[1]);
         let (k, n) = if transpose_b { (bc, br) } else { (br, bc) };
         let w = pool::resolve_workers(workers);
@@ -126,16 +120,13 @@ impl PackedTensor {
     }
 
     /// Packs a rank-3 `(B, K, N)` operand — every slice in parallel over
-    /// the shared pool — choosing blocking from the active tuned table.
+    /// the shared pool — with [`BlockSpec::DEFAULT`].
     ///
     /// # Errors
     ///
     /// [`TensorError::RankMismatch`] unless `b` is rank-3.
     pub fn pack_batched(b: &Tensor) -> Result<PackedTensor> {
-        if b.rank() != 3 {
-            return Err(TensorError::RankMismatch { op: "pack", expected: 3, actual: b.rank() });
-        }
-        Self::pack_batched_with(b, crate::tune::spec_for_pack(b.shape()[1], b.shape()[2]), 0)
+        Self::pack_batched_with(b, BlockSpec::DEFAULT, 0)
     }
 
     /// [`PackedTensor::pack_batched`] with an explicit blocking and worker
@@ -152,7 +143,7 @@ impl PackedTensor {
         if b.rank() != 3 {
             return Err(TensorError::RankMismatch { op: "pack", expected: 3, actual: b.rank() });
         }
-        let spec = if spec.is_valid() { spec } else { BlockSpec::DEFAULT };
+        let spec = spec.sanitized();
         let (bt, k, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
         let w = pool::resolve_workers(workers);
         let (buf, finite) = gemm::pack_b(spec, bt, k, n, b.data(), n, false, w);
@@ -197,7 +188,7 @@ impl PackedTensor {
         src_shape: Vec<usize>,
         transposed: bool,
     ) -> Result<PackedTensor> {
-        let spec = if spec.is_valid() { spec } else { BlockSpec::DEFAULT };
+        let spec = spec.sanitized();
         let rank_ok = match src_shape.len() {
             2 => batch == 1,
             3 => batch == src_shape[0] && !transposed,

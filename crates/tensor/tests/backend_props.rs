@@ -166,8 +166,8 @@ proptest! {
         }
     }
 
-    /// Prepacking under a non-default (tuned) blocking still matches the
-    /// reference exactly — any `BlockSpec` a tuned table could load only
+    /// Prepacking under a non-default blocking still matches the
+    /// reference exactly — any `BlockSpec` a store file could record only
     /// changes traversal order, never the per-element accumulation order.
     #[test]
     fn prepacked_matmul_with_tuned_spec_is_bit_identical(
@@ -190,7 +190,7 @@ proptest! {
             let fast = gemm::matmul_packed(&a, &packed, false, workers).unwrap();
             prop_assert!(
                 reference.data() == fast.data(),
-                "tuned-spec prepacked matmul diverged: m={m} k={k} n={n} spec={:?} workers={workers}",
+                "non-default-spec prepacked matmul diverged: m={m} k={k} n={n} spec={:?} workers={workers}",
                 specs[spec_idx]
             );
         }

@@ -26,6 +26,18 @@ if grep -rnE '(\.|\bf(32|64)::)(exp|tanh|ln)\(' crates/tensor/src crates/exec/sr
     exit 1
 fi
 
+echo "==> one production LANCET_* variable"
+# Configuration lives in config fields (docs/CONFIG.md). The only
+# environment read in production code is LANCET_WORKERS, in the tensor
+# pool; a new env::var/env::var_os of a LANCET_* name anywhere else in
+# crates/*/src or src/ fails here. Test-only variables under tests/ stay
+# allowed.
+if grep -rnE 'env::var(_os)?\([[:space:]]*"LANCET_' crates/*/src src |
+    grep -v '^crates/tensor/src/pool\.rs:'; then
+    echo "error: LANCET_* environment read outside crates/tensor/src/pool.rs; add a config field" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -59,12 +71,6 @@ awk '
         if (v < 1.15) { printf "error: prepacked_vs_repack_step %.2f < 1.15 floor\n", v; exit 1 } }
     END { if (!found) { print "error: BENCH_kernels.json lacks prepacked_vs_repack_step"; exit 1 } }
 ' results/BENCH_kernels.json
-
-echo "==> lancet tune-gemm --quick"
-# Smoke of the GEMM autotuner: searches the reduced candidate grid on the
-# detected ISA (no artifact written). The committed results/TUNE_gemm.json
-# is the full-grid table; regenerate with: lancet tune-gemm
-./target/release/lancet tune-gemm --quick --samples 1
 
 echo "==> cargo bench -p lancet-bench --bench serve -- --quick"
 # Serving floor: micro-batched replies are bit-identical to solo serving,

@@ -3,7 +3,6 @@
 //! ```text
 //! lancet optimize   --model s --cluster v100 --gpus 16 --gate switch [--trace t.json]
 //! lancet compare    --model l --cluster a100 --gpus 32 --gate bpr
-//! lancet tune-gemm  [--samples 3] [--quick]
 //! lancet pack-model [--model tiny] [--gpus 1] [--out results/model-tiny.lancet]
 //! ```
 //!
@@ -11,11 +10,6 @@
 //! predicted and simulated iteration time (optionally dumping the IR and
 //! a Chrome trace). `compare` runs every system (DeepSpeed / Tutel / RAF /
 //! Lancet) on the same configuration.
-//! `tune-gemm` searches GEMM cache blockings (`MC/KC/NC`) per weight
-//! shape and `m` class on the detected ISA and writes the table to
-//! `results/TUNE_gemm.json`; runtimes opt in via `LANCET_GEMM_TUNE`.
-//! Blocking never changes computed bits, only traversal, so a tuned
-//! table is purely a performance knob.
 //! `pack-model` writes a model's canonical weights and prepacked GEMM
 //! panels to a `lancet-store` file that runtimes load zero-copy (mmap).
 //!
@@ -33,17 +27,13 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: lancet <optimize|compare|tune-gemm|pack-model> [options]
+usage: lancet <optimize|compare|pack-model> [options]
 
 pack-model options:
   --model <s|l|mixtral|tiny>  model to pack (default: tiny)
   --gpus <N>                device count to canonicalize for (default: 1)
   --out <FILE>              store path (default: results/model-<name>.lancet)
   --seed <N>                weight seed (default: the serving default)
-
-tune-gemm options:
-  --samples <N>             timed runs per candidate blocking (default: 3)
-  --quick                   small candidate grid, no artifact written
 
 options:
   --model <s|l|mixtral|tiny>  benchmark model (default: s)
@@ -73,7 +63,6 @@ fn parse_args() -> Result<(String, HashMap<String, String>), String> {
         "--recompute",
         "--hierarchical",
         "--gantt",
-        "--quick",
     ];
     let mut iter = args.peekable();
     while let Some(a) = iter.next() {
@@ -257,48 +246,6 @@ fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tune_gemm(opts: &HashMap<String, String>) -> Result<(), String> {
-    use lancet_repro::tensor::gemm::detected_isa;
-    use lancet_repro::tensor::tune::{tune_gpt2s_moe, TuneOptions, GPT2S_MOE_SHAPES};
-
-    let quick = opts.contains_key("quick");
-    let samples = opts
-        .get("samples")
-        .map(|v| v.parse::<usize>().map_err(|_| format!("bad --samples `{v}`")))
-        .transpose()?
-        .unwrap_or(3);
-    println!(
-        "tune-gemm: searching MC/KC/NC blockings for {} GPT2-S-MoE weight shapes on `{}`{}",
-        GPT2S_MOE_SHAPES.len(),
-        detected_isa(),
-        if quick { " (quick grid)" } else { "" }
-    );
-    let table = tune_gpt2s_moe(TuneOptions { samples, quick, ..TuneOptions::default() }, |e| {
-        println!(
-            "  {:>8} m={:<3} k={:<4} n={:<4} -> mc={:<3} kc={:<3} nc={:<4}  {:>6.0} us (default {:.0} us, {:.2}x)",
-            e.m_class.name(),
-            e.m_class.representative_m(),
-            e.k,
-            e.n,
-            e.spec.mc,
-            e.spec.kc,
-            e.spec.nc,
-            e.tuned_ns as f64 / 1e3,
-            e.default_ns as f64 / 1e3,
-            e.default_ns as f64 / e.tuned_ns.max(1) as f64
-        );
-    });
-    if quick {
-        println!("\nquick run: table not written (rerun without --quick for the artifact)");
-        return Ok(());
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/TUNE_gemm.json");
-    std::fs::write(path, table.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-    println!("\nwrote {} entries to {path}", table.len());
-    println!("enable with LANCET_GEMM_TUNE=1 (or a path to the table)");
-    Ok(())
-}
-
 fn cmd_pack_model(opts: &HashMap<String, String>) -> Result<(), String> {
     use lancet_repro::serve::{canonical_weights, pack_weights, ServeConfig};
     use lancet_repro::store::{open_store_with, write_store, OpenOptions};
@@ -348,7 +295,7 @@ fn cmd_pack_model(opts: &HashMap<String, String>) -> Result<(), String> {
     let t = Instant::now();
     let stored = open_store_with(
         std::path::Path::new(&out),
-        OpenOptions { mmap: None, verify_data: Some(true) },
+        OpenOptions { verify_data: true, ..OpenOptions::default() },
     )
     .map_err(|e| format!("verify {out}: {e}"))?;
     let open_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -385,7 +332,6 @@ fn main() -> ExitCode {
             let result = match cmd.as_str() {
                 "optimize" => cmd_optimize(&opts),
                 "compare" => cmd_compare(&opts),
-                "tune-gemm" => cmd_tune_gemm(&opts),
                 "pack-model" => cmd_pack_model(&opts),
                 "help" | "--help" | "-h" => {
                     print!("{USAGE}");

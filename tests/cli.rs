@@ -62,7 +62,7 @@ fn compare_ranks_systems() {
 }
 
 #[test]
-fn help_lists_exactly_the_four_tools() {
+fn help_lists_exactly_the_three_tools() {
     let (ok, stdout, _) = lancet(&["help"]);
     assert!(ok);
     let line = stdout.lines().next().expect("usage line");
@@ -70,13 +70,15 @@ fn help_lists_exactly_the_four_tools() {
         .strip_prefix("usage: lancet <")
         .and_then(|rest| rest.split('>').next())
         .expect("usage line names the commands");
-    assert_eq!(commands, "optimize|compare|tune-gemm|pack-model");
+    assert_eq!(commands, "optimize|compare|pack-model");
 }
 
 #[test]
 fn removed_bench_subcommands_are_unknown() {
-    for cmd in ["serve-bench", "chaos-bench", "placement-bench", "decode-bench", "fleet-bench"] {
-        let (ok, _, stderr) = lancet(&[cmd, "--quick"]);
+    for cmd in
+        ["serve-bench", "chaos-bench", "placement-bench", "decode-bench", "fleet-bench", "tune-gemm"]
+    {
+        let (ok, _, stderr) = lancet(&[cmd]);
         assert!(!ok, "{cmd} should be gone");
         assert!(stderr.contains("unknown command"), "{cmd}: {stderr}");
     }
