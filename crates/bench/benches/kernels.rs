@@ -3,8 +3,10 @@
 //! Benchmarks the packed GEMM engine (`lancet_tensor::gemm`) against the
 //! retained naive reference kernel on GPT2-S-MoE-sized operands (hidden
 //! 768, FFN 3072), asserts the engines are bit-identical on the benched
-//! operands, times GELU and GELU-grad on `lancet_tensor::det::tanh`
-//! against the platform libm's `tanhf`, and records the measured speedups to
+//! operands, times prepacked products at every row remainder of the
+//! 4-row register tile against whole tiles, times GELU and GELU-grad on
+//! `lancet_tensor::det::tanh` against the platform libm's `tanhf`, and
+//! records the measured speedups to
 //! `results/BENCH_kernels.json` so the comparison is a tracked artifact
 //! (like the fig15 engine table). The table is reproduced and discussed
 //! in EXPERIMENTS.md.
@@ -29,6 +31,20 @@ const FFN: usize = 3072;
 /// Decode-step token rows: a handful of single-token sequences, the
 /// steady-state serving shape where per-call weight packing dominates.
 const STEP_TOKENS: usize = 8;
+/// Decode-step row counts against a prepacked `384 × 1536` weight (the
+/// `decode` workload's FFN): 8 and 16 fill whole 4-row register tiles,
+/// 1, 3, 7 and 13 end on a partial one, as a short continuous-batching
+/// step or an uneven partition chunk does.
+const ODD_ROWS: [usize; 6] = [1, 3, 7, 8, 13, 16];
+const ODD_K: usize = 384;
+const ODD_N: usize = 1536;
+/// Samples per side for the odd-row group (~0.3 ms per 8-row call).
+const ODD_SAMPLES: usize = 60;
+/// Ceiling on the paired median ratio `t(7 rows) / t(8 rows)`, enforced
+/// in both modes: a partial register tile runs the same sweep as a full
+/// one, so 7 rows must cost no more than 8 plus noise. With a separate
+/// remainder kernel this ratio read 2.4–3.3x.
+const MAX_ODD_ROW_RATIO: f64 = 1.25;
 /// Expert-parallel batched shapes: experts × capacity × hidden.
 const EXPERTS: usize = 8;
 const CAPACITY: usize = 64;
@@ -160,6 +176,17 @@ fn main() {
             "transposed batched matmul not bit-identical (workers={workers})"
         );
     }
+    let w_odd = rng.uniform(vec![ODD_K, ODD_N], -1.0, 1.0);
+    let packed_odd = PackedTensor::pack(&w_odd, false).unwrap();
+    let x_odd = ODD_ROWS.map(|m| rng.uniform(vec![m, ODD_K], -1.0, 1.0));
+    for x in &x_odd {
+        assert_eq!(
+            gemm::matmul_reference(x, &w_odd, false, false).unwrap().data(),
+            gemm::matmul_packed(x, &packed_odd, false, 1).unwrap().data(),
+            "prepacked {}-row matmul not bit-identical",
+            x.shape()[0]
+        );
+    }
     println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto)\n");
 
     let matmul = interleaved(
@@ -220,6 +247,21 @@ fn main() {
         ],
     );
 
+    // Every row remainder of the register tile against whole tiles.
+    let odd = |i: usize| drop(gemm::matmul_packed(&x_odd[i], &packed_odd, false, 1).unwrap());
+    let odd_rows = interleaved(
+        "matmul_odd_rows",
+        ODD_SAMPLES,
+        [
+            ("m1", &mut || odd(0)),
+            ("m3", &mut || odd(1)),
+            ("m7", &mut || odd(2)),
+            ("m8", &mut || odd(3)),
+            ("m13", &mut || odd(4)),
+            ("m16", &mut || odd(5)),
+        ],
+    );
+
     // Dense vs half-padded expert buffers.
     let experts = |x: &Tensor| drop(gemm::batched_matmul_packed(x, &packed_wp, 1).unwrap());
     let padded_rows = interleaved(
@@ -269,6 +311,9 @@ fn main() {
     let prepack_experts = speedup(&experts_prepack[0], &experts_prepack[1]);
     let padded = speedup(&padded_rows[0], &padded_rows[1]);
     let padded_paired = padded_rows[0].median_ratio(&padded_rows[1]);
+    let batch_paired = batch[0].median_ratio(&batch[1]);
+    let over_8_rows = odd_rows.iter().map(|row| row.median_ratio(&odd_rows[3])).collect::<Vec<_>>();
+    let row7_vs_row8 = over_8_rows[2];
     let gelu_det = speedup(&gelu[0], &gelu[1]);
     let gelu_grad_det = speedup(&gelu_grad[0], &gelu_grad[1]);
 
@@ -282,8 +327,12 @@ fn main() {
     println!("  batched Bᵀ threaded {transposed_threaded:>7.2}x");
     println!("speedup of prepacked panels over repack-per-call:");
     println!("  step  (m={STEP_TOKENS:<3})   {prepack_step:>7.2}x");
-    println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x");
+    println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x  (median of rounds {batch_paired:.2}x)");
     println!("  experts (bt={EXPERTS})  {prepack_experts:>7.2}x");
+    println!("prepacked {ODD_K}x{ODD_N} time per row count over 8 rows (median of rounds):");
+    for (m, ratio) in ODD_ROWS.iter().zip(&over_8_rows) {
+        println!("  m={m:<3}            {ratio:>7.2}x");
+    }
     println!("speedup of half-padded over dense expert buffers (zero-group skip, median of rounds):");
     println!("  experts (bt={PADDED_EXPERTS})  {padded_paired:>7.2}x");
     println!("speedup of det::tanh over libm tanhf (one thread):");
@@ -308,6 +357,11 @@ fn main() {
          {MIN_PREPACK_SPEEDUP}x floor"
     );
     assert!(
+        row7_vs_row8 <= MAX_ODD_ROW_RATIO,
+        "remainder-tile regression: 7 rows take {row7_vs_row8:.2}x the time of 8 > \
+         {MAX_ODD_ROW_RATIO}x ceiling"
+    );
+    assert!(
         padded_paired >= MIN_PADDED_SPEEDUP,
         "zero-group skip regression: padded speedup {padded_paired:.2}x < {MIN_PADDED_SPEEDUP}x floor"
     );
@@ -322,8 +376,20 @@ fn main() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
             path,
-            [matmul, batched, transposed, step, batch, experts_prepack, padded_rows, gelu, gelu_grad, softmax]
-                .concat(),
+            [
+                matmul,
+                batched,
+                transposed,
+                step,
+                batch,
+                experts_prepack,
+                odd_rows,
+                padded_rows,
+                gelu,
+                gelu_grad,
+                softmax,
+            ]
+            .concat(),
             &[
                 ("matmul_tiled_vs_naive", tiled_vs_naive),
                 ("matmul_threaded_vs_naive", threaded_vs_naive),
@@ -337,6 +403,15 @@ fn main() {
                 ("padded_vs_dense_experts", padded),
                 ("gelu_det_vs_libm", gelu_det),
                 ("gelu_grad_det_vs_libm", gelu_grad_det),
+            ],
+            &[
+                ("prepacked_vs_repack_batch", batch_paired),
+                ("padded_vs_dense_experts", padded_paired),
+                ("matmul_1_rows_over_8_rows", over_8_rows[0]),
+                ("matmul_3_rows_over_8_rows", over_8_rows[1]),
+                ("matmul_7_rows_over_8_rows", row7_vs_row8),
+                ("matmul_13_rows_over_8_rows", over_8_rows[4]),
+                ("matmul_16_rows_over_8_rows", over_8_rows[5]),
             ],
         );
         println!("\nwrote {path}");
@@ -375,7 +450,8 @@ fn transpose_slices(x: &Tensor) -> Tensor {
     Tensor::from_vec(vec![e, c, r], out).unwrap()
 }
 
-fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)]) {
+fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)], paired: &[(&str, f64)]) {
+    let table = |kv: &[(&str, f64)]| Json::obj(kv.iter().map(|&(k, v)| (k, Json::fixed(v, 2)))).expanded();
     let dims = |d: &[usize]| Json::arr(d.iter().map(|&v| v.into()));
     Json::obj([
         ("bench", "kernels".into()),
@@ -384,6 +460,7 @@ fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)]) {
             Json::obj([
                 ("matmul", dims(&[TOKENS, HIDDEN, FFN])),
                 ("step", dims(&[STEP_TOKENS, HIDDEN, FFN])),
+                ("odd_rows", dims(&[ODD_K, ODD_N])),
                 ("batched", dims(&[EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("padded", dims(&[PADDED_EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("transposed", dims(&TRANSPOSED)),
@@ -394,10 +471,9 @@ fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)]) {
         ("avx2", std::arch::is_x86_feature_detected!("avx2").into()),
         ("results", Json::arr(rows.iter().map(Summary::to_json))),
         // One speedup per line: verify.sh greps `prepacked_vs_repack_step`.
-        (
-            "speedups_min_over_min",
-            Json::obj(speedups.iter().map(|&(k, v)| (k, Json::fixed(v, 2)))).expanded(),
-        ),
+        ("speedups_min_over_min", table(speedups)),
+        // Median over rounds of the per-round time ratio (`Summary::median_ratio`).
+        ("paired_median_ratios", table(paired)),
     ])
     .save(path)
     .expect("write BENCH_kernels.json");

@@ -40,7 +40,7 @@ struct Slot {
 }
 
 /// Arena of per-sequence, per-layer K/V buffers with token-capacity
-/// accounting. See the [module docs](self) for the contract.
+/// accounting. See the module docs of `kv.rs` for the contract.
 #[derive(Debug)]
 pub struct KvArena {
     layers: usize,

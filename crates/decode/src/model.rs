@@ -120,7 +120,7 @@ struct Block {
 }
 
 /// A single-device decode engine over a model's canonical weights.
-/// See the [module docs](self) for the bit-identity argument.
+/// See the module docs of `model.rs` for the bit-identity argument.
 #[derive(Debug)]
 pub struct DecodeModel {
     cfg: GptMoeConfig,

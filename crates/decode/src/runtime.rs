@@ -169,7 +169,7 @@ struct ModelRun {
     active: Vec<Active>,
 }
 
-/// The decode-serving runtime. See the [module docs](self).
+/// The decode-serving runtime. See the module docs of `runtime.rs`.
 pub struct DecodeRuntime {
     shared: Arc<Shared>,
     scheduler: Mutex<Option<JoinHandle<()>>>,

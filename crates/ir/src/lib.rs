@@ -15,7 +15,7 @@
 //!   validation, producer/user maps, and builder helpers.
 //! * [`DepGraph`] — dependency edges and reachability queries used by the
 //!   dW-labelling analysis (paper §4.1).
-//! * [`autodiff`] — reverse-mode differentiation that emits explicit
+//! * [`build_backward`] — reverse-mode differentiation that emits explicit
 //!   activation-gradient (dX) and weight-gradient (dW) instructions with
 //!   [`Role`] tags, giving the scheduling pass its raw material.
 //!

@@ -159,11 +159,12 @@ pub struct PackMeta {
     pub k: u64,
     /// Output-column dimension after transpose resolution.
     pub n: u64,
-    /// Cache blocking the panels were packed with: MC.
+    /// Cache blocking the panels were packed with: MC. Always
+    /// `lancet_tensor::gemm::MC`; a reader refuses any other blocking.
     pub mc: u32,
-    /// Cache blocking: KC.
+    /// Cache blocking: KC (`gemm::KC`).
     pub kc: u32,
-    /// Cache blocking: NC.
+    /// Cache blocking: NC (`gemm::NC`).
     pub nc: u32,
     /// Whether the source was interpreted transposed while packing.
     pub transposed: bool,

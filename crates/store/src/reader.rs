@@ -7,7 +7,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-use lancet_tensor::{BlockSpec, PackedTensor, Tensor};
+use lancet_tensor::{gemm, PackedTensor, Tensor};
 
 use crate::format::{fnv1a, Cursor, Header, TocEntry, DEVICE_ALL, HEADER_LEN, KIND_PACK};
 use crate::mapping::FileBuf;
@@ -182,7 +182,16 @@ pub fn open_store_with(path: &Path, opts: OpenOptions) -> Result<StoredModel, St
             let m = e.pack.as_ref().ok_or_else(|| {
                 StoreError::BadToc(format!("pack entry `{}` lacks pack metadata", e.name))
             })?;
-            let spec = BlockSpec { mc: m.mc as usize, kc: m.kc as usize, nc: m.nc as usize };
+            // Panels are laid out by the GEMM's fixed blocking; ones
+            // recorded under any other would be read at wrong offsets.
+            let recorded = (m.mc, m.kc, m.nc);
+            let fixed = (gemm::MC as u32, gemm::KC as u32, gemm::NC as u32);
+            if recorded != fixed {
+                return Err(StoreError::BadToc(format!(
+                    "pack entry `{}` has blocking {recorded:?}, not {fixed:?}",
+                    e.name
+                )));
+            }
             let pack = Arc::new(PackedTensor::from_shared_panels(
                 Arc::clone(&owner),
                 word_off,
@@ -190,7 +199,6 @@ pub fn open_store_with(path: &Path, opts: OpenOptions) -> Result<StoredModel, St
                 m.batch as usize,
                 m.k as usize,
                 m.n as usize,
-                spec,
                 dims,
                 m.transposed,
             )?);

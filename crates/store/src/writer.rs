@@ -7,7 +7,7 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use lancet_tensor::{PackedTensor, Tensor};
+use lancet_tensor::{gemm, PackedTensor, Tensor};
 
 use crate::format::{
     align_up, fnv1a, Header, PackMeta, TocEntry, DEVICE_ALL, HEADER_LEN, KIND_PACK, KIND_TENSOR,
@@ -213,7 +213,6 @@ fn tensor_entry(name: &str, device: u32, t: &Tensor) -> TocEntry {
 }
 
 fn pack_entry(name: &str, device: u32, p: &PackedTensor) -> TocEntry {
-    let spec = p.spec();
     TocEntry {
         kind: KIND_PACK,
         device,
@@ -225,9 +224,9 @@ fn pack_entry(name: &str, device: u32, p: &PackedTensor) -> TocEntry {
             batch: p.batch() as u64,
             k: p.k() as u64,
             n: p.n() as u64,
-            mc: spec.mc as u32,
-            kc: spec.kc as u32,
-            nc: spec.nc as u32,
+            mc: gemm::MC as u32,
+            kc: gemm::KC as u32,
+            nc: gemm::NC as u32,
             transposed: p.transposed(),
         }),
     }

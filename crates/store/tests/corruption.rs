@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use lancet_store::format::{fnv1a, Cursor, Header, TocEntry, HEADER_LEN};
 use lancet_store::{
     open_store, open_store_with, write_store, OpenOptions, StoreError, StoredPacks,
 };
@@ -123,6 +124,39 @@ fn corrupted_header_fields_are_typed_errors() {
     assert!(matches!(mutate(13, 0xFF), Err(StoreError::BadEndianTag)));
     // Flipping a byte inside the TOC region breaks its checksum.
     assert!(matches!(mutate(140, 0xA5), Err(StoreError::ChecksumMismatch { section: "toc" })));
+    std::fs::remove_file(&path).ok();
+}
+
+/// Panels are laid out by the GEMM's fixed blocking. A pack entry that
+/// records any other one (here `kc = 17`), with the TOC re-checksummed so
+/// the change passes the cheap checks, must be refused with a typed error
+/// rather than multiplied at wrong panel offsets.
+#[test]
+fn pack_entries_under_another_blocking_are_refused() {
+    let (weights, packs) = sample_model(1);
+    let path = tmp("blocking");
+    write_store(&path, "sample", &weights, &packs).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let header = Header::parse(&bytes, bytes.len() as u64).unwrap();
+    let toc_end = HEADER_LEN + header.toc_len as usize;
+    let mut cur = Cursor::new(&bytes[HEADER_LEN..toc_end]);
+    let name = cur.string().unwrap();
+    let mut entries: Vec<TocEntry> =
+        (0..header.entries).map(|_| TocEntry::read(&mut cur).unwrap()).collect();
+    let pack = entries.iter_mut().find_map(|e| e.pack.as_mut()).expect("sample has packs");
+    pack.kc = 17;
+    let mut toc = (name.len() as u32).to_le_bytes().to_vec();
+    toc.extend_from_slice(name.as_bytes());
+    entries.iter().for_each(|e| e.write(&mut toc));
+    assert_eq!(toc.len(), header.toc_len as usize);
+    bytes[HEADER_LEN..toc_end].copy_from_slice(&toc);
+    let header = Header { toc_checksum: fnv1a(&toc), ..header };
+    bytes[..HEADER_LEN].copy_from_slice(&header.to_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    for mmap in [true, false] {
+        let err = open_store_with(&path, OpenOptions { mmap, verify_data: true }).unwrap_err();
+        assert!(matches!(&err, StoreError::BadToc(why) if why.contains("blocking")), "{err:?}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

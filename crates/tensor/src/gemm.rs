@@ -27,12 +27,19 @@
 //!    elements only, so lane width never changes results; no FMA
 //!    contraction is used).
 //!
-//! The cache blocking `mc/kc/nc` is a runtime [`BlockSpec`]: the fixed
-//! constants ([`BlockSpec::DEFAULT`]) for every entry point that does not
-//! take one explicitly. Weights that never change between calls can skip
-//! step 1 entirely by being packed once into a [`crate::PackedTensor`]
-//! and multiplied via
-//! [`matmul_packed`] / [`batched_matmul_packed`].
+//! The blocking is fixed: [`MC`], [`KC`] and [`NC`] cut every product,
+//! and a store file records them so panels packed under any other
+//! blocking are refused at load. Weights that never change between calls
+//! can skip step 1 entirely by being packed once into a
+//! [`PackedTensor`] and multiplied via [`matmul_packed`] /
+//! [`batched_matmul_packed`].
+//!
+//! Every tile, full or remainder, runs the same `MR × NR` sweep. The
+//! last `MR` group of packed `A` is zero-filled to `MR` rows, and a
+//! panel's last strip narrower than `NR` is copied once per panel into a
+//! zero-padded `kcb × NR` scratch strip; only the valid `rows × w`
+//! accumulators are loaded from and stored back to `out`, and the padded
+//! lanes are computed and discarded.
 //!
 //! # Determinism contract
 //!
@@ -40,16 +47,13 @@
 //! same order: `k` ascending** (`kc` blocks ascending, offsets ascending
 //! inside a block — exactly the reference kernel's order). Workers split
 //! the *output* by row blocks, so each element is written by one task.
-//! The blocking parameters only change how the iteration space is *cut*,
-//! never the per-element accumulation order: the accumulator tile is
-//! loaded from and stored back to `out` per `kc` block, so the adds stay
-//! left-associated and `k`-ascending for any `BlockSpec`. Consequently
-//! [`matmul_tiled`], [`matmul_tiled_with`] (any valid spec),
-//! [`matmul_packed`] and every slice of [`batched_matmul_t`] are all
-//! bit-identical to [`matmul_reference`] for every shape, transpose
-//! combination, worker count, and SIMD path — enforced by
-//! `tests/backend_props.rs` and relied on by the fig05 equivalence
-//! harness.
+//! The accumulator tile is loaded from and stored back to `out` per `kc`
+//! block, so the adds stay left-associated and `k`-ascending. Consequently
+//! [`matmul_tiled`], [`matmul_packed`] and every slice of
+//! [`batched_matmul_t`] are all bit-identical to [`matmul_reference`] for
+//! every shape, transpose combination, worker count, and SIMD path —
+//! enforced by `tests/backend_props.rs` and relied on by the fig05
+//! equivalence harness.
 //!
 //! The same argument makes the executor's attention products
 //! (`Q·Kᵀ`, `P·V`, `dY·Vᵀ`, `Pᵀ·dY`, one [`batched_matmul_t`] slice per
@@ -74,8 +78,7 @@
 //! `0 · ∞` and `0 · NaN` still propagate as NaN per IEEE 754 — the seed
 //! kernel's per-element `a == 0.0` short-circuit dropped them. Finiteness
 //! is computed once per `B` slice inside the packing copy (`pack_b`) and
-//! cached on [`PackedTensor`](crate::PackedTensor), never rescanned per
-//! call.
+//! cached on [`PackedTensor`], never rescanned per call.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -83,11 +86,11 @@ use crate::pack::PackedTensor;
 use crate::pool::{self, SharedSliceMut};
 use crate::{Result, Tensor, TensorError};
 
-/// Default rows per packed `A` block (output rows processed per task step).
+/// Rows per packed `A` block (output rows processed per task step).
 pub const MC: usize = 64;
-/// Default depth of a packed panel (the `k`-blocking factor).
+/// Depth of a packed panel (the `k`-blocking factor).
 pub const KC: usize = 256;
-/// Default columns per packed `B` panel.
+/// Columns per packed `B` panel.
 pub const NC: usize = 512;
 /// Output rows per register tile.
 const MR: usize = 4;
@@ -99,55 +102,6 @@ const NR: usize = 16;
 /// Problems smaller than this many multiply-adds skip packing and run the
 /// reference kernel directly (identical bits, less setup).
 const SMALL_GEMM: usize = 32 * 32 * 32;
-
-/// Runtime cache-blocking parameters for the packed engine.
-///
-/// `MR`/`NR` (the register tile) stay compile-time constants — the
-/// micro-kernel holds its accumulators in fixed-size arrays — but the
-/// cache blocking is data: [`BlockSpec::DEFAULT`] reproduces the fixed
-/// constants, and a store file records the spec each pack was built with.
-/// Any valid spec produces bit-identical results (see the module docs);
-/// only wall-clock changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockSpec {
-    /// Rows per packed `A` block.
-    pub mc: usize,
-    /// Depth of a packed `B` panel (`k`-blocking factor).
-    pub kc: usize,
-    /// Columns per packed `B` panel.
-    pub nc: usize,
-}
-
-impl BlockSpec {
-    /// The compiled-in blocking ([`MC`], [`KC`], [`NC`]) — the default and
-    /// the fallback for any invalid spec.
-    pub const DEFAULT: BlockSpec = BlockSpec { mc: MC, kc: KC, nc: NC };
-
-    /// Bounds-checks a spec (e.g. one read from a store file) so corrupt
-    /// input cannot request absurd pack buffers or a zero blocking
-    /// factor. Entry points silently substitute [`BlockSpec::DEFAULT`]
-    /// for invalid specs.
-    pub fn is_valid(&self) -> bool {
-        (1..=8192).contains(&self.mc)
-            && (1..=8192).contains(&self.kc)
-            && (1..=8192).contains(&self.nc)
-    }
-
-    /// `self` if valid, otherwise the default blocking.
-    pub(crate) fn sanitized(self) -> BlockSpec {
-        if self.is_valid() {
-            self
-        } else {
-            BlockSpec::DEFAULT
-        }
-    }
-}
-
-impl Default for BlockSpec {
-    fn default() -> Self {
-        BlockSpec::DEFAULT
-    }
-}
 
 /// Validates rank-2 shapes and resolves virtual transposes to `(m, k, n)`.
 fn matmul_dims(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<(usize, usize, usize)> {
@@ -217,8 +171,8 @@ fn reference_into(
 ///
 /// `workers = 0` auto-sizes from the shared pool
 /// ([`pool::default_workers`]); `workers = 1` runs sequentially on the
-/// calling thread. Blocking is [`BlockSpec::DEFAULT`]. Any worker count
-/// is bit-identical to [`matmul_reference`].
+/// calling thread. Any worker count is bit-identical to
+/// [`matmul_reference`].
 ///
 /// # Errors
 ///
@@ -228,50 +182,18 @@ pub fn matmul_tiled(a: &Tensor, b: &Tensor, ta: bool, tb: bool, workers: usize) 
     if m * k * n <= SMALL_GEMM {
         return matmul_reference(a, b, ta, tb);
     }
-    matmul_tiled_spec(a, b, ta, tb, workers, BlockSpec::DEFAULT)
-}
-
-/// [`matmul_tiled`] with an explicit [`BlockSpec`] and no small-problem
-/// cutoff, used by tests to pin non-default blockings. Invalid specs
-/// degrade to the default.
-///
-/// # Errors
-///
-/// Same conditions as [`Tensor::matmul_t`].
-pub fn matmul_tiled_with(
-    a: &Tensor,
-    b: &Tensor,
-    ta: bool,
-    tb: bool,
-    workers: usize,
-    spec: BlockSpec,
-) -> Result<Tensor> {
-    matmul_tiled_spec(a, b, ta, tb, workers, spec.sanitized())
-}
-
-fn matmul_tiled_spec(
-    a: &Tensor,
-    b: &Tensor,
-    ta: bool,
-    tb: bool,
-    workers: usize,
-    spec: BlockSpec,
-) -> Result<Tensor> {
-    let (m, k, n) = matmul_dims(a, b, ta, tb)?;
     let mut out = vec![0.0f32; m * n];
     let w = pool::resolve_workers(workers);
-    let (bpack, finite) = pack_b(spec, 1, k, n, b.data(), b.shape()[1], tb, w);
-    gemm_packed(spec, m, k, n, a.data(), a.shape()[1], ta, &bpack, finite[0], &mut out, w);
+    let (bpack, finite) = pack_b(1, k, n, b.data(), b.shape()[1], tb, w);
+    gemm_packed(m, k, n, a.data(), a.shape()[1], ta, &bpack, finite[0], &mut out, w);
     Tensor::from_vec(vec![m, n], out)
 }
 
 /// Matmul against a weight already resident in panel layout: the
 /// steady-state serving fast path, skipping `pack_b` entirely.
 ///
-/// Uses the blocking the panels were packed with, so the result is
-/// bit-identical to [`matmul_reference`] (and to the repacking paths)
-/// regardless of which spec that was. The packed operand must be rank-2
-/// (`batch == 1`).
+/// Bit-identical to [`matmul_reference`] and to the repacking paths.
+/// The packed operand must be rank-2 (`batch == 1`).
 ///
 /// # Errors
 ///
@@ -294,7 +216,7 @@ pub fn matmul_packed(a: &Tensor, b: &PackedTensor, ta: bool, workers: usize) -> 
     let n = b.n();
     let mut out = vec![0.0f32; m * n];
     let w = pool::resolve_workers(workers);
-    gemm_packed(b.spec(), m, k, n, a.data(), ac, ta, b.panels(0), b.finite()[0], &mut out, w);
+    gemm_packed(m, k, n, a.data(), ac, ta, b.panels(0), b.finite()[0], &mut out, w);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -365,10 +287,9 @@ pub fn batched_matmul_t(a: &Tensor, b: &Tensor, ta: bool, tb: bool, workers: usi
     if bt * m * k * n <= SMALL_GEMM {
         batched_reference_into(bt, m, k, n, a, ta, b, tb, &mut out);
     } else {
-        let spec = BlockSpec::DEFAULT;
         let w = pool::resolve_workers(workers);
-        let (bpack, finite) = pack_b(spec, bt, k, n, b.data(), b.shape()[2], tb, w);
-        batched_gemm_packed(spec, bt, m, k, n, a.data(), a.shape()[2], ta, &bpack, &finite, &mut out, w);
+        let (bpack, finite) = pack_b(bt, k, n, b.data(), b.shape()[2], tb, w);
+        batched_gemm_packed(bt, m, k, n, a.data(), a.shape()[2], ta, &bpack, &finite, &mut out, w);
     }
     Tensor::from_vec(vec![bt, m, n], out)
 }
@@ -405,7 +326,7 @@ pub fn batched_matmul_packed(a: &Tensor, b: &PackedTensor, workers: usize) -> Re
     let n = b.n();
     let mut out = vec![0.0f32; bt * m * n];
     let w = pool::resolve_workers(workers);
-    batched_gemm_packed(b.spec(), bt, m, k, n, a.data(), k, false, b.buf(), b.finite(), &mut out, w);
+    batched_gemm_packed(bt, m, k, n, a.data(), k, false, b.buf(), b.finite(), &mut out, w);
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
@@ -437,16 +358,10 @@ fn batched_dims(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<(usize, us
 /// The panel starts at word `p0 · n + kcb · j0` of its packed slice: the
 /// panel rows above it fill `p0 · n` words, and the panels to its left in
 /// its own row `kcb · j0`.
-fn panel_dims(
-    spec: BlockSpec,
-    k: usize,
-    n: usize,
-    panel: usize,
-    num_nc: usize,
-) -> (usize, usize, usize, usize) {
+fn panel_dims(k: usize, n: usize, panel: usize, num_nc: usize) -> (usize, usize, usize, usize) {
     let (kci, nci) = (panel / num_nc, panel % num_nc);
-    let (p0, j0) = (kci * spec.kc, nci * spec.nc);
-    (p0, j0, spec.kc.min(k - p0), spec.nc.min(n - j0))
+    let (p0, j0) = (kci * KC, nci * NC);
+    (p0, j0, KC.min(k - p0), NC.min(n - j0))
 }
 
 /// Flags, lane by lane, whether `row` (at most `NR` values) holds a
@@ -474,7 +389,6 @@ pub(crate) fn all_finite(xs: &[f32]) -> bool {
 /// micro-kernel streams `B` linearly while sweeping `k`.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn pack_panel(
-    spec: BlockSpec,
     k: usize,
     n: usize,
     b: &[f32],
@@ -484,7 +398,7 @@ fn pack_panel(
     num_nc: usize,
     dst: &mut [f32],
 ) -> bool {
-    let (p0, j0, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
+    let (p0, j0, kcb, ncb) = panel_dims(k, n, panel, num_nc);
     let mut bad = [0; NR];
     for (s, strip) in dst[..kcb * ncb].chunks_mut(kcb * NR).enumerate() {
         let c0 = s * NR;
@@ -513,10 +427,8 @@ fn pack_panel(
 /// padded. Also returns, per slice, whether every value is finite — the
 /// condition for the zero-group skip (module docs).
 /// Backs the per-call packing of the tiled paths and
-/// [`PackedTensor`](crate::PackedTensor)'s constructors.
-#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
+/// [`PackedTensor`]'s constructors.
 pub(crate) fn pack_b(
-    spec: BlockSpec,
     bt: usize,
     k: usize,
     n: usize,
@@ -525,20 +437,20 @@ pub(crate) fn pack_b(
     tb: bool,
     workers: usize,
 ) -> (Vec<f32>, Vec<bool>) {
-    let num_nc = n.div_ceil(spec.nc);
-    let per = k.div_ceil(spec.kc) * num_nc;
+    let num_nc = n.div_ceil(NC);
+    let per = k.div_ceil(KC) * num_nc;
     let mut pack = vec![0.0f32; bt * k * n];
     let nonfinite: Vec<AtomicBool> = (0..bt).map(|_| AtomicBool::new(false)).collect();
     let view = SharedSliceMut::new(&mut pack);
     pool::par_ranges(bt * per, workers, |units| {
         for u in units {
             let (bi, panel) = (u / per, u % per);
-            let (p0, j0, kcb, ncb) = panel_dims(spec, k, n, panel, num_nc);
+            let (p0, j0, kcb, ncb) = panel_dims(k, n, panel, num_nc);
             let base = bi * k * n + p0 * n + kcb * j0;
             // SAFETY: (slice, panel) ranges are disjoint across tasks.
             let dst = unsafe { view.range_mut(base..base + kcb * ncb) };
             let src = &b[bi * k * n..(bi + 1) * k * n];
-            if !pack_panel(spec, k, n, src, bc, tb, panel, num_nc, dst) {
+            if !pack_panel(k, n, src, bc, tb, panel, num_nc, dst) {
                 nonfinite[bi].store(true, Ordering::Relaxed);
             }
         }
@@ -548,7 +460,6 @@ pub(crate) fn pack_b(
 
 /// Arguments threaded through the blocked kernels.
 struct Gemm<'a> {
-    spec: BlockSpec,
     m: usize,
     k: usize,
     n: usize,
@@ -571,7 +482,6 @@ struct Gemm<'a> {
 /// most `workers` tasks.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn gemm_packed(
-    spec: BlockSpec,
     m: usize,
     k: usize,
     n: usize,
@@ -587,7 +497,6 @@ fn gemm_packed(
         return;
     }
     let g = Gemm {
-        spec,
         m,
         k,
         n,
@@ -596,11 +505,11 @@ fn gemm_packed(
         ta,
         bpack,
         b_finite,
-        num_nc: n.div_ceil(spec.nc),
+        num_nc: n.div_ceil(NC),
         out: SharedSliceMut::new(out),
         out_base: 0,
     };
-    pool::par_ranges(m.div_ceil(spec.mc), workers, |blocks| compute_blocks(&g, blocks));
+    pool::par_ranges(m.div_ceil(MC), workers, |blocks| compute_blocks(&g, blocks));
 }
 
 /// Runs the packed kernel for every slice of a batched product over one
@@ -610,7 +519,6 @@ fn gemm_packed(
 /// panel set broadcast across the batch axis.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn batched_gemm_packed(
-    spec: BlockSpec,
     bt: usize,
     m: usize,
     k: usize,
@@ -626,8 +534,8 @@ fn batched_gemm_packed(
     if bt == 0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    let num_mc = m.div_ceil(spec.mc);
-    let num_nc = n.div_ceil(spec.nc);
+    let num_mc = m.div_ceil(MC);
+    let num_nc = n.div_ceil(NC);
     let view = SharedSliceMut::new(out);
     pool::par_ranges(bt * num_mc, workers, |units| {
         // Group the contiguous unit range by slice so each slice gets one
@@ -638,7 +546,6 @@ fn batched_gemm_packed(
             let end = ((bi + 1) * num_mc).min(units.end);
             let bs = if b_finite.len() == 1 { 0 } else { bi };
             let g = Gemm {
-                spec,
                 m,
                 k,
                 n,
@@ -681,8 +588,8 @@ fn isa() -> Isa {
 }
 
 /// The SIMD path the micro-kernel dispatches to on this machine:
-/// `"avx512"`, `"avx2"`, or `"portable"`. Tuned tables are keyed by this
-/// string so a table recorded on one ISA never steers another.
+/// `"avx512"`, `"avx2"`, or `"portable"`, recorded next to benchmark
+/// results so a timing is never compared across ISAs unknowingly.
 pub fn detected_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -732,61 +639,72 @@ fn compute_blocks_portable(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
     compute_blocks_impl(g, blocks);
 }
 
-/// The blocked loop nest for a contiguous range of `mc` row blocks.
+/// The blocked loop nest for a contiguous range of `MC` row blocks.
 /// `#[inline(always)]` so each dispatch wrapper compiles its own copy
 /// with its own target features.
 #[inline(always)]
 fn compute_blocks_impl(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
-    let (mc, kc, nc) = (g.spec.mc, g.spec.kc, g.spec.nc);
-    let mut apack = vec![0.0f32; mc.min(g.m) * kc.min(g.k)];
+    let mut apack = vec![0.0f32; MC.min(g.m).next_multiple_of(MR) * KC.min(g.k)];
+    // Lanes `n % NR..NR` of each `NR`-wide row are never written, so
+    // they stay zero: every panel of a product has the same narrow last
+    // strip.
+    let mut bedge = vec![0.0f32; KC.min(g.k) * NR];
     for blk in blocks {
-        let i0 = blk * mc;
-        let mcb = mc.min(g.m - i0);
+        let i0 = blk * MC;
+        let mcb = MC.min(g.m - i0);
         let o0 = g.out_base + i0 * g.n;
         // SAFETY: `(slice, row-block)` output ranges are disjoint across
         // tasks.
         let out_rows = unsafe { g.out.range_mut(o0..o0 + mcb * g.n) };
-        for kci in 0..g.k.div_ceil(kc) {
-            let p0 = kci * kc;
-            let kcb = kc.min(g.k - p0);
-            pack_a(g, i0, mcb, p0, kcb, &mut apack);
+        for kci in 0..g.k.div_ceil(KC) {
+            let p0 = kci * KC;
+            let kcb = KC.min(g.k - p0);
+            let astrips = &mut apack[..mcb.next_multiple_of(MR) * kcb];
+            pack_a(g, i0, mcb, p0, kcb, astrips);
             for nci in 0..g.num_nc {
-                let j0 = nci * nc;
-                let ncb = nc.min(g.n - j0);
+                let j0 = nci * NC;
+                let ncb = NC.min(g.n - j0);
                 let base = p0 * g.n + kcb * j0;
                 let panel = &g.bpack[base..base + kcb * ncb];
-                let astrips = &apack[..mcb * kcb];
-                macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, astrips, panel, g.b_finite);
+                macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, astrips, panel, g.b_finite, &mut bedge);
             }
         }
     }
 }
 
-/// Copies the `mcb × kcb` block of `A` at `(i0, p0)` into `apack`,
-/// resolving a virtual transpose. Rows are interleaved in `MR`-row
-/// groups: group `g` starts at `g * MR * kcb`, is `pp`-major with its
-/// `rows` values contiguous per `k` step, matching the micro-kernel's
-/// broadcast order.
+/// Copies the `mcb × kcb` block of `A` at `(i0, p0)` into `apack`
+/// (`mcb` rounded up to whole `MR` groups), resolving a virtual
+/// transpose. Rows are interleaved in `MR`-row groups: group `g` starts
+/// at `g * MR * kcb`, is `pp`-major with its `MR` values contiguous per
+/// `k` step, matching the micro-kernel's broadcast order. The rows past
+/// `mcb` in the last group are zero.
 #[inline(always)]
 fn pack_a(g: &Gemm<'_>, i0: usize, mcb: usize, p0: usize, kcb: usize, apack: &mut [f32]) {
-    for (grp, chunk) in apack[..mcb * kcb].chunks_mut(MR * kcb).enumerate() {
+    for (grp, chunk) in apack.chunks_exact_mut(MR * kcb).enumerate() {
         let r0 = grp * MR;
         let rows = MR.min(mcb - r0);
-        for pp in 0..kcb {
-            for r in 0..rows {
+        for (pp, dst) in chunk.chunks_exact_mut(MR).enumerate() {
+            for (r, x) in dst.iter_mut().enumerate() {
                 let (i, p) = (i0 + r0 + r, p0 + pp);
-                chunk[pp * rows + r] = if g.ta { g.a[p * g.ac + i] } else { g.a[i * g.ac + p] };
+                *x = if r >= rows {
+                    0.0
+                } else if g.ta {
+                    g.a[p * g.ac + i]
+                } else {
+                    g.a[i * g.ac + p]
+                };
             }
         }
     }
 }
 
 /// Accumulates an `mcb × ncb` output tile as a grid of `MR × NR` register
-/// tiles; edge tiles (row or column remainders) run the same register
-/// tile over zero-padded operand lanes (`tile_edge`). The `out` slice
-/// covers rows `i0..i0+mcb` of the full output (stride `n`); columns `j0`
-/// onward are updated. When `b_finite`, an all-zero `A` row group is skipped: it
-/// would add only `±0` to sums that started at `+0` (module docs).
+/// tiles, every one through [`tile`]. A last `B` strip narrower than `NR`
+/// is first copied into the zero-padded `bedge` so it has the full
+/// strip's shape. The `out` slice covers rows `i0..i0+mcb` of the full
+/// output (stride `n`); columns `j0` onward are updated. When
+/// `b_finite`, an all-zero `A` row group is skipped: it would add only
+/// `±0` to sums that started at `+0` (module docs).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn macro_tile(
@@ -799,87 +717,64 @@ fn macro_tile(
     apack: &[f32],
     panel: &[f32],
     b_finite: bool,
+    bedge: &mut [f32],
 ) {
-    for (grp, astrip) in apack.chunks(MR * kcb).enumerate() {
+    let (full, w) = (ncb / NR, ncb % NR);
+    if w > 0 {
+        let narrow = &panel[full * kcb * NR..];
+        for (dst, src) in bedge.chunks_exact_mut(NR).zip(narrow.chunks_exact(w)) {
+            dst[..w].copy_from_slice(src);
+        }
+    }
+    for (grp, astrip) in apack.chunks_exact(MR * kcb).enumerate() {
         if b_finite && astrip.iter().all(|&x| x == 0.0) {
             continue;
         }
         let r0 = grp * MR;
         let rows = MR.min(mcb - r0);
-        for (s, bstrip) in panel.chunks(kcb * NR).enumerate() {
-            let c0 = s * NR;
-            let w = NR.min(ncb - c0);
-            let off = r0 * n + j0 + c0;
-            if rows == MR && w == NR {
-                tile_full(out, n, off, kcb, astrip, bstrip);
-            } else {
-                tile_edge(out, n, off, rows, kcb, w, astrip, bstrip);
-            }
+        for (s, bstrip) in panel.chunks_exact(kcb * NR).enumerate() {
+            tile(out, n, r0 * n + j0 + s * NR, rows, NR, astrip, bstrip);
+        }
+        if w > 0 {
+            tile(out, n, r0 * n + j0 + full * NR, rows, w, astrip, &bedge[..kcb * NR]);
         }
     }
 }
 
-/// The register-tiled inner kernel: an `MR × NR` accumulator grid loaded
-/// once, swept over the whole `kcb` depth (`k` ascending, left-associated
-/// adds — the reference accumulation order), stored once. The fixed-size
-/// `NR` loops vectorize across independent output elements; there is no
-/// reduction, so lane width cannot change results.
+/// One `MR × NR` register tile at `out[off..]` (stride `n`): the valid
+/// `rows × w` outputs are loaded into the accumulator, swept over the
+/// whole strip depth, and stored back; padded lanes are discarded.
 #[inline(always)]
-fn tile_full(out: &mut [f32], n: usize, off: usize, kcb: usize, astrip: &[f32], bstrip: &[f32]) {
+fn tile(out: &mut [f32], n: usize, off: usize, rows: usize, w: usize, astrip: &[f32], bstrip: &[f32]) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out[off + r * n..off + r * n + NR]);
+    for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+        accr[..w].copy_from_slice(&out[off + r * n..off + r * n + w]);
     }
-    for pp in 0..kcb {
-        let b: &[f32; NR] = bstrip[pp * NR..pp * NR + NR].try_into().expect("strip width");
-        let a = &astrip[pp * MR..pp * MR + MR];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let ar = a[r];
+    let acc = sweep(acc, astrip, bstrip);
+    for (r, accr) in acc.iter().enumerate().take(rows) {
+        out[off + r * n..off + r * n + w].copy_from_slice(&accr[..w]);
+    }
+}
+
+/// The register-tiled inner kernel: every `k` step of an `MR`-row `A`
+/// group times an `NR`-wide `B` strip, added into the accumulator (`k`
+/// ascending, left-associated adds — the reference accumulation order).
+/// The fixed-size `NR` loops vectorize across independent output
+/// elements; there is no reduction, so lane width cannot change results.
+/// The accumulator goes in and out by value: a whole-array local that
+/// stays in registers, which the runtime-length loads and stores of an
+/// edge tile would otherwise force to memory.
+#[inline(always)]
+fn sweep(mut acc: [[f32; NR]; MR], astrip: &[f32], bstrip: &[f32]) -> [[f32; NR]; MR] {
+    for (a, b) in astrip.chunks_exact(MR).zip(bstrip.chunks_exact(NR)) {
+        let b: &[f32; NR] = b.try_into().expect("strip width");
+        for (accr, &ar) in acc.iter_mut().zip(a) {
             for (o, &bv) in accr.iter_mut().zip(b) {
                 *o += ar * bv;
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        out[off + r * n..off + r * n + NR].copy_from_slice(accr);
-    }
-}
-
-/// Remainder tiles (< `MR` rows or < `NR` columns): the register tile of
-/// [`tile_full`], with the missing rows and columns of each `k` step's
-/// operands filled with zeros so every loop keeps its fixed `MR × NR`
-/// shape. Only the valid `rows × w` accumulators are loaded and stored;
-/// each of them sees the same `k`-ascending adds as in a full tile, and
-/// the padding lanes are discarded.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
-fn tile_edge(
-    out: &mut [f32],
-    n: usize,
-    off: usize,
-    rows: usize,
-    kcb: usize,
-    w: usize,
-    astrip: &[f32],
-    bstrip: &[f32],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-        accr[..w].copy_from_slice(&out[off + r * n..off + r * n + w]);
-    }
-    for pp in 0..kcb {
-        let (ap, bp) = (&astrip[pp * rows..pp * rows + rows], &bstrip[pp * w..pp * w + w]);
-        let a: [f32; MR] = std::array::from_fn(|r| if r < rows { ap[r] } else { 0.0 });
-        let b: [f32; NR] = std::array::from_fn(|c| if c < w { bp[c] } else { 0.0 });
-        for (accr, &ar) in acc.iter_mut().zip(&a) {
-            for (o, &bv) in accr.iter_mut().zip(&b) {
-                *o += ar * bv;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate().take(rows) {
-        out[off + r * n..off + r * n + w].copy_from_slice(&accr[..w]);
-    }
+    acc
 }
 
 #[cfg(test)]
@@ -947,40 +842,6 @@ mod tests {
         for workers in [1, 2, 3, 7, 16, 0] {
             close(&batched_matmul_t(&a, &b, false, false, workers).unwrap(), &reference);
         }
-    }
-
-    #[test]
-    fn explicit_blockings_are_bit_identical() {
-        // Runtime mc/kc/nc only re-cut the iteration space; the
-        // accumulation order per element is pinned, so every valid spec
-        // must reproduce the reference bits exactly.
-        let mut rng = TensorRng::seed(15);
-        let (m, k, n) = (70, 130, 90);
-        let a = rng.uniform(vec![m, k], -1.0, 1.0);
-        let b = rng.uniform(vec![k, n], -1.0, 1.0);
-        let reference = matmul_reference(&a, &b, false, false).unwrap();
-        for spec in [
-            BlockSpec::DEFAULT,
-            BlockSpec { mc: 4, kc: 1, nc: 16 },
-            BlockSpec { mc: 32, kc: 128, nc: 256 },
-            BlockSpec { mc: 128, kc: 512, nc: 1024 },
-            BlockSpec { mc: 33, kc: 17, nc: 23 },
-        ] {
-            for workers in [1, 3] {
-                close(&matmul_tiled_with(&a, &b, false, false, workers, spec).unwrap(), &reference);
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_spec_degrades_to_default() {
-        let mut rng = TensorRng::seed(16);
-        let a = rng.uniform(vec![40, 50], -1.0, 1.0);
-        let b = rng.uniform(vec![50, 60], -1.0, 1.0);
-        let reference = matmul_reference(&a, &b, false, false).unwrap();
-        let bad = BlockSpec { mc: 0, kc: 0, nc: 0 };
-        assert!(!bad.is_valid());
-        close(&matmul_tiled_with(&a, &b, false, false, 1, bad).unwrap(), &reference);
     }
 
     #[test]

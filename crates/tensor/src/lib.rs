@@ -37,7 +37,6 @@ pub mod storage;
 mod tensor;
 
 pub use error::TensorError;
-pub use gemm::BlockSpec;
 pub use init::TensorRng;
 pub use pack::PackedTensor;
 pub use shape::{stride_for, Shape};

@@ -13,15 +13,14 @@
 //! [`batched_matmul_packed`](crate::gemm::batched_matmul_packed), which
 //! skip `pack_b` entirely.
 //!
-//! The panels embed the [`BlockSpec`] they were packed with, and the
-//! compute path uses exactly that spec — so a packed multiply is
+//! Packing only moves values into the fixed [`KC`](crate::gemm::KC) ×
+//! [`NC`](crate::gemm::NC) panel layout, so a packed multiply is
 //! bit-identical to the repacking path (and to
-//! [`matmul_reference`](crate::gemm::matmul_reference)) no matter which
-//! valid blocking produced the panels.
+//! [`matmul_reference`](crate::gemm::matmul_reference)).
 //!
 //! A pack also caches, per batch slice, whether every value is finite —
 //! the condition for the GEMM's exact zero-row-group skip (see the
-//! [`gemm`](crate::gemm) determinism contract). Packs built here compute
+//! [`gemm`] determinism contract). Packs built here compute
 //! it inside the packing copy; packs rebuilt zero-copy from a store
 //! ([`PackedTensor::from_shared_panels`]) compute it on their first
 //! multiply, so loading stays a mapping.
@@ -36,7 +35,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::gemm::{self, BlockSpec};
+use crate::gemm;
 use crate::storage::{Buf, BufOwner};
 use crate::{pool, Result, Tensor, TensorError};
 
@@ -52,7 +51,6 @@ pub struct PackedTensor {
     batch: usize,
     k: usize,
     n: usize,
-    spec: BlockSpec,
     src_shape: Vec<usize>,
     transposed: bool,
     /// Per batch slice, whether every value is finite. Set by the packing
@@ -70,93 +68,55 @@ impl PartialEq for PackedTensor {
             && self.batch == other.batch
             && self.k == other.k
             && self.n == other.n
-            && self.spec == other.spec
             && self.src_shape == other.src_shape
             && self.transposed == other.transposed
     }
 }
 
 impl PackedTensor {
-    /// Packs a rank-2 operand (resolving a virtual transpose) with
-    /// [`BlockSpec::DEFAULT`], auto-sizing workers.
+    /// Packs a rank-2 operand (resolving a virtual transpose), auto-sizing
+    /// workers.
     ///
     /// # Errors
     ///
     /// [`TensorError::RankMismatch`] unless `b` is rank-2.
     pub fn pack(b: &Tensor, transpose_b: bool) -> Result<PackedTensor> {
-        Self::pack_with(b, transpose_b, BlockSpec::DEFAULT, 0)
-    }
-
-    /// [`PackedTensor::pack`] with an explicit blocking and worker count.
-    /// Invalid specs degrade to [`BlockSpec::DEFAULT`].
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::RankMismatch`] unless `b` is rank-2.
-    pub fn pack_with(
-        b: &Tensor,
-        transpose_b: bool,
-        spec: BlockSpec,
-        workers: usize,
-    ) -> Result<PackedTensor> {
         if b.rank() != 2 {
             return Err(TensorError::RankMismatch { op: "pack", expected: 2, actual: b.rank() });
         }
-        let spec = spec.sanitized();
         let (br, bc) = (b.shape()[0], b.shape()[1]);
         let (k, n) = if transpose_b { (bc, br) } else { (br, bc) };
-        let w = pool::resolve_workers(workers);
-        let (buf, finite) = gemm::pack_b(spec, 1, k, n, b.data(), bc, transpose_b, w);
-        Ok(PackedTensor {
-            buf: Buf::Owned(buf),
-            batch: 1,
-            k,
-            n,
-            spec,
-            src_shape: b.shape().to_vec(),
-            transposed: transpose_b,
-            finite: Arc::new(OnceLock::from(finite)),
-        })
+        Ok(Self::packed(b, 1, k, n, bc, transpose_b))
     }
 
-    /// Packs a rank-3 `(B, K, N)` operand — every slice in parallel over
-    /// the shared pool — with [`BlockSpec::DEFAULT`].
+    /// Packs a rank-3 `(B, K, N)` operand, every slice in parallel over
+    /// the shared pool.
     ///
     /// # Errors
     ///
     /// [`TensorError::RankMismatch`] unless `b` is rank-3.
     pub fn pack_batched(b: &Tensor) -> Result<PackedTensor> {
-        Self::pack_batched_with(b, BlockSpec::DEFAULT, 0)
-    }
-
-    /// [`PackedTensor::pack_batched`] with an explicit blocking and worker
-    /// count. Invalid specs degrade to [`BlockSpec::DEFAULT`].
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::RankMismatch`] unless `b` is rank-3.
-    pub fn pack_batched_with(
-        b: &Tensor,
-        spec: BlockSpec,
-        workers: usize,
-    ) -> Result<PackedTensor> {
         if b.rank() != 3 {
             return Err(TensorError::RankMismatch { op: "pack", expected: 3, actual: b.rank() });
         }
-        let spec = spec.sanitized();
         let (bt, k, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
-        let w = pool::resolve_workers(workers);
-        let (buf, finite) = gemm::pack_b(spec, bt, k, n, b.data(), n, false, w);
-        Ok(PackedTensor {
+        Ok(Self::packed(b, bt, k, n, n, false))
+    }
+
+    /// Packs the `batch` `K × N` slices of `b` (stored row stride `bc`)
+    /// over the shared pool.
+    fn packed(b: &Tensor, batch: usize, k: usize, n: usize, bc: usize, transposed: bool) -> PackedTensor {
+        let w = pool::resolve_workers(0);
+        let (buf, finite) = gemm::pack_b(batch, k, n, b.data(), bc, transposed, w);
+        PackedTensor {
             buf: Buf::Owned(buf),
-            batch: bt,
+            batch,
             k,
             n,
-            spec,
             src_shape: b.shape().to_vec(),
-            transposed: false,
+            transposed,
             finite: Arc::new(OnceLock::from(finite)),
-        })
+        }
     }
 
     /// Reconstructs packed panels from a shared buffer owner — the
@@ -166,9 +126,9 @@ impl PackedTensor {
     ///
     /// The window must hold exactly `batch` panel slices for `(k, n)`
     /// (i.e. `words == batch * k * n`: panels are never padded), laid
-    /// out exactly as [`PackedTensor::pack_with`] /
-    /// [`PackedTensor::pack_batched_with`] produce them; the panel layout
-    /// is part of the store's format contract.
+    /// out exactly as [`PackedTensor::pack`] /
+    /// [`PackedTensor::pack_batched`] produce them; the panel layout is
+    /// part of the store's format contract.
     ///
     /// # Errors
     ///
@@ -184,11 +144,9 @@ impl PackedTensor {
         batch: usize,
         k: usize,
         n: usize,
-        spec: BlockSpec,
         src_shape: Vec<usize>,
         transposed: bool,
     ) -> Result<PackedTensor> {
-        let spec = spec.sanitized();
         let rank_ok = match src_shape.len() {
             2 => batch == 1,
             3 => batch == src_shape[0] && !transposed,
@@ -215,7 +173,6 @@ impl PackedTensor {
             batch,
             k,
             n,
-            spec,
             src_shape,
             transposed,
             finite: Arc::default(),
@@ -256,12 +213,6 @@ impl PackedTensor {
     /// Output-column dimension after transpose resolution.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The blocking the panels are laid out with (and the compute path
-    /// will use).
-    pub fn spec(&self) -> BlockSpec {
-        self.spec
     }
 
     /// Shape of the tensor the panels were packed from.
@@ -387,7 +338,6 @@ mod tests {
             pb.batch(),
             pb.k(),
             pb.n(),
-            pb.spec(),
             pb.src_shape().to_vec(),
             pb.transposed(),
         )
@@ -405,7 +355,6 @@ mod tests {
             pb.batch(),
             pb.k(),
             pb.n(),
-            pb.spec(),
             pb.src_shape().to_vec(),
             pb.transposed(),
         )
@@ -417,7 +366,6 @@ mod tests {
             pb.batch(),
             pb.k(),
             pb.n(),
-            pb.spec(),
             pb.src_shape().to_vec(),
             pb.transposed(),
         )
@@ -427,7 +375,7 @@ mod tests {
     #[test]
     fn bytes_reports_panel_buffer() {
         let b = Tensor::zeros(vec![100, 100]);
-        let pb = PackedTensor::pack_with(&b, false, BlockSpec::DEFAULT, 1).unwrap();
+        let pb = PackedTensor::pack(&b, false).unwrap();
         // Panels tile the matrix exactly: no padding to full panel size.
         assert_eq!(pb.bytes(), (100 * 100 * 4) as u64);
     }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// `LANCET_WORKERS`, parsed at most once per process (see
-/// [`parse_workers`]).
+/// `parse_workers` for the accepted values).
 pub fn env_workers() -> Option<usize> {
     static PARSED: OnceLock<Option<usize>> = OnceLock::new();
     *PARSED.get_or_init(|| parse_workers(std::env::var("LANCET_WORKERS").ok().as_deref()))

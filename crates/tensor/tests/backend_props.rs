@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use lancet_tensor::{gemm, BlockSpec, BufOwner, PackedTensor, Tensor, TensorRng, VecOwner};
+use lancet_tensor::{gemm, BufOwner, PackedTensor, Tensor, TensorRng, VecOwner};
 use proptest::prelude::*;
 
 /// Worker counts the contract quantifies over: sequential, two-way, auto.
@@ -166,36 +166,6 @@ proptest! {
         }
     }
 
-    /// Prepacking under a non-default blocking still matches the
-    /// reference exactly — any `BlockSpec` a store file could record only
-    /// changes traversal order, never the per-element accumulation order.
-    #[test]
-    fn prepacked_matmul_with_tuned_spec_is_bit_identical(
-        dims in (1usize..60, 1usize..200, 1usize..300),
-        spec_idx in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let (m, k, n) = dims;
-        let specs = [
-            BlockSpec { mc: 32, kc: 128, nc: 256 },
-            BlockSpec { mc: 128, kc: 512, nc: 1024 },
-            BlockSpec { mc: 4, kc: 16, nc: 16 },
-            BlockSpec { mc: 33, kc: 17, nc: 23 },
-        ];
-        let a = random_tensor(vec![m, k], seed);
-        let b = random_tensor(vec![k, n], seed ^ 0xB10C);
-        let reference = gemm::matmul_reference(&a, &b, false, false).unwrap();
-        let packed = PackedTensor::pack_with(&b, false, specs[spec_idx], 1).unwrap();
-        for workers in WORKER_COUNTS {
-            let fast = gemm::matmul_packed(&a, &packed, false, workers).unwrap();
-            prop_assert!(
-                reference.data() == fast.data(),
-                "non-default-spec prepacked matmul diverged: m={m} k={k} n={n} spec={:?} workers={workers}",
-                specs[spec_idx]
-            );
-        }
-    }
-
     /// The batched prepacked engine matches the reference for per-expert
     /// stacks and for a shared (batch = 1) `B` broadcast across slices,
     /// including worker counts far beyond the expert count (the parallel
@@ -249,8 +219,7 @@ proptest! {
         let reference = gemm::matmul_reference(&a, &b, ta, tb).unwrap();
         let packed = PackedTensor::pack(&b, tb).unwrap();
         for workers in WORKER_COUNTS {
-            let spec = BlockSpec::DEFAULT;
-            let tiled = gemm::matmul_tiled_with(&a, &b, ta, tb, workers, spec).unwrap();
+            let tiled = gemm::matmul_tiled(&a, &b, ta, tb, workers).unwrap();
             assert_bits(&reference, &tiled, "matmul_tiled")?;
             let fast = gemm::matmul_packed(&a, &packed, ta, workers).unwrap();
             assert_bits(&reference, &fast, "matmul_packed")?;
@@ -349,7 +318,6 @@ fn non_finite_operands_propagate_through_all_paths() {
             packed.batch(),
             packed.k(),
             packed.n(),
-            packed.spec(),
             packed.src_shape().to_vec(),
             packed.transposed(),
         )
@@ -381,28 +349,28 @@ fn non_finite_operands_propagate_through_all_paths() {
     }
 }
 
-/// Packs hold no padding: every slice is exactly `k · n` words under any
-/// blocking, including odd ones whose panels never divide `k` or `n`
-/// evenly (`kc` 17, `nc` 23). Such a tight pack, serialized and rebuilt
-/// zero-copy through `from_shared_panels`, multiplies bit-identically to
-/// the reference, rank-2 (both `B` transposes) and batched.
+/// Packs hold no padding: every slice is exactly `k · n` words, including
+/// when `k` and `n` cross the `KC` and `NC` panel edges unevenly (`k` 300
+/// leaves a 44-deep panel row, `n` 600 an 88-wide last panel whose last
+/// strip is 8 wide). Such a tight pack, serialized and rebuilt zero-copy
+/// through `from_shared_panels`, multiplies bit-identically to the
+/// reference, rank-2 (both `B` transposes) and batched.
 #[test]
-fn tight_packs_under_odd_specs_round_trip_bit_identically() {
-    let spec = BlockSpec { mc: 33, kc: 17, nc: 23 };
-    let (e, m, k, n) = (3, 21, 70, 50);
+fn tight_packs_across_panel_edges_round_trip_bit_identically() {
+    let (e, m, k, n) = (2, 21, 300, 600);
     let rebuild = |p: &PackedTensor| {
         let owner: Arc<dyn BufOwner> = Arc::new(VecOwner(p.panel_data().to_vec()));
         let words = p.panel_data().len();
         let (batch, shape, t) = (p.batch(), p.src_shape().to_vec(), p.transposed());
-        PackedTensor::from_shared_panels(owner, 0, words, batch, p.k(), p.n(), p.spec(), shape, t).unwrap()
+        PackedTensor::from_shared_panels(owner, 0, words, batch, p.k(), p.n(), shape, t).unwrap()
     };
     let a = random_tensor(vec![m, k], 31);
     for tb in [false, true] {
         let b = random_tensor(if tb { vec![n, k] } else { vec![k, n] }, 32);
-        let packed = PackedTensor::pack_with(&b, tb, spec, 2).unwrap();
+        let packed = PackedTensor::pack(&b, tb).unwrap();
         assert_eq!(packed.panel_data().len(), k * n);
         let shared = rebuild(&packed);
-        assert_eq!(shared.spec(), spec);
+        assert_eq!(shared, packed);
         let reference = gemm::matmul_reference(&a, &b, false, tb).unwrap();
         for workers in WORKER_COUNTS {
             let y = gemm::matmul_packed(&a, &shared, false, workers).unwrap();
@@ -411,7 +379,7 @@ fn tight_packs_under_odd_specs_round_trip_bit_identically() {
     }
     let a3 = random_tensor(vec![e, m, k], 33);
     let b3 = random_tensor(vec![e, k, n], 34);
-    let packed3 = PackedTensor::pack_batched_with(&b3, spec, 2).unwrap();
+    let packed3 = PackedTensor::pack_batched(&b3).unwrap();
     assert_eq!(packed3.panel_data().len(), e * k * n);
     let reference = gemm::batched_matmul_reference(&a3, &b3).unwrap();
     for workers in WORKER_COUNTS {
@@ -419,7 +387,7 @@ fn tight_packs_under_odd_specs_round_trip_bit_identically() {
         assert_eq!(y.data(), reference.data(), "batched workers={workers}");
     }
     // A window sized for the old padded layout no longer describes a pack.
-    let padded = 17 * 23 * k.div_ceil(17) * n.div_ceil(23);
+    let padded = gemm::KC * gemm::NC * k.div_ceil(gemm::KC) * n.div_ceil(gemm::NC);
     let owner: Arc<dyn BufOwner> = Arc::new(VecOwner(vec![0.0; padded]));
-    assert!(PackedTensor::from_shared_panels(owner, 0, padded, 1, k, n, spec, vec![k, n], false).is_err());
+    assert!(PackedTensor::from_shared_panels(owner, 0, padded, 1, k, n, vec![k, n], false).is_err());
 }

@@ -50,15 +50,19 @@ cargo test --workspace -q
 echo "==> cargo test --doc --workspace"
 cargo test --doc --workspace -q
 
-echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+# Every member crate's docs, not only the root package's: a broken,
+# private or ambiguous intra-doc link anywhere in the workspace fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo bench -p lancet-bench --bench kernels -- --quick"
 # Smoke run of the compute-backend benchmark: asserts the tiled engine is
 # bit-identical to the naive reference and still beats it by the floor in
 # EXPERIMENTS.md, that prepacked weight panels beat repack-per-call
-# at the decode-step shape, and that GELU and GELU-grad on det::tanh beat
-# libm's tanhf by >= 3x (no artifact is written in --quick mode).
+# at the decode-step shape, that a 7-row prepacked product takes at most
+# 1.25x the time of an 8-row one (remainder tiles run the full-tile
+# sweep), and that GELU and GELU-grad on det::tanh beat libm's tanhf by
+# >= 3x (no artifact is written in --quick mode).
 cargo bench -p lancet-bench --bench kernels -- --quick
 
 echo "==> committed BENCH_kernels.json records the prepack win"
