@@ -9,7 +9,8 @@
 //! the static-shape rule — query the uniform model at capacity `C/n`.
 
 use lancet_cost::{CachingOpProfiler, CommCostModel, CommModel};
-use lancet_ir::{Graph, Op, Shape, TensorId};
+use lancet_ir::{Graph, Instr, Op, Shape, TensorId};
+use std::cell::LazyCell;
 use std::collections::HashMap;
 
 /// Breakdown of an estimated timeline.
@@ -69,34 +70,41 @@ impl TimeEstimator {
     ///
     /// Propagates shape errors from the profiler.
     pub fn instr_time(&self, graph: &Graph, pos: usize) -> lancet_ir::Result<f64> {
-        let instr = &graph.instrs()[pos];
-        let in_shapes: Vec<&Shape> = instr.inputs.iter().map(|&t| &graph.tensor(t).shape).collect();
-        if instr.op.is_comm() {
-            Ok(self.comm_time(graph, pos, &in_shapes))
-        } else {
-            self.profiler.profile(&instr.op, &in_shapes)
-        }
+        let producers = LazyCell::new(|| graph.producer_positions());
+        self.time_at(graph, pos, |t| producers.get(&t).copied())
     }
 
-    fn comm_time(&self, graph: &Graph, pos: usize, ins: &[&Shape]) -> f64 {
-        let op = &graph.instrs()[pos].op;
-        match op {
-            Op::AllToAll => self.a2a_model.query(op.comm_bytes(ins)),
+    /// [`instr_time`](Self::instr_time) with the producer lookup supplied
+    /// by the caller, who indexes the graph once for a whole sweep. Only an
+    /// irregular all-to-all consults it.
+    pub(crate) fn time_at(
+        &self,
+        graph: &Graph,
+        pos: usize,
+        producer: impl Fn(TensorId) -> Option<usize>,
+    ) -> lancet_ir::Result<f64> {
+        let instr = &graph.instrs()[pos];
+        let in_shapes: Vec<&Shape> = instr.inputs.iter().map(|&t| &graph.tensor(t).shape).collect();
+        let op = &instr.op;
+        Ok(match op {
+            Op::AllToAll => self.a2a_model.query(op.comm_bytes(&in_shapes)),
             Op::AllToAllIrr => {
                 // Static-shape approximation: the n-partitioned irregular
                 // all-to-all costs what a uniform one of capacity C/n
                 // costs (paper §3).
-                let padded = op.comm_bytes(ins);
-                let parts = irr_parts(graph, pos).max(1);
+                let padded = op.comm_bytes(&in_shapes);
+                let parts = irr_parts(graph, pos, producer).max(1);
                 self.a2a_model.query_partitioned(padded, parts)
             }
-            Op::AllReduce => self.comm_truth.all_reduce_time(op.comm_bytes(ins), self.gpus),
-            Op::AllGather { .. } => self.comm_truth.all_gather_time(op.comm_bytes(ins), self.gpus),
-            Op::ReduceScatter { .. } => {
-                self.comm_truth.reduce_scatter_time(op.comm_bytes(ins), self.gpus)
+            Op::AllReduce => self.comm_truth.all_reduce_time(op.comm_bytes(&in_shapes), self.gpus),
+            Op::AllGather { .. } => {
+                self.comm_truth.all_gather_time(op.comm_bytes(&in_shapes), self.gpus)
             }
-            _ => unreachable!("comm_time on compute op"),
-        }
+            Op::ReduceScatter { .. } => {
+                self.comm_truth.reduce_scatter_time(op.comm_bytes(&in_shapes), self.gpus)
+            }
+            _ => self.profiler.profile(op, &in_shapes)?,
+        })
     }
 
     /// Runs the two-stream sweep over the whole instruction sequence and
@@ -106,45 +114,60 @@ impl TimeEstimator {
     ///
     /// Propagates shape errors from the profiler.
     pub fn estimate(&self, graph: &Graph) -> lancet_ir::Result<EstimateReport> {
-        let mut ready: HashMap<TensorId, f64> = HashMap::new();
-        let mut compute_free = 0.0f64;
-        let mut comm_free = 0.0f64;
-        let mut compute_busy = 0.0;
-        let mut comm_busy = 0.0;
-        for (pos, instr) in graph.instrs().iter().enumerate() {
-            let in_ready = instr
-                .inputs
-                .iter()
-                .map(|t| ready.get(t).copied().unwrap_or(0.0))
-                .fold(0.0f64, f64::max);
-            let dur = self.instr_time(graph, pos)?;
-            let end = if instr.op.is_comm() {
-                let start = in_ready.max(comm_free);
-                comm_free = start + dur;
-                comm_busy += dur;
-                comm_free
-            } else {
-                let start = in_ready.max(compute_free);
-                compute_free = start + dur;
-                compute_busy += dur;
-                compute_free
-            };
-            for &o in &instr.outputs {
-                ready.insert(o, end);
-            }
-        }
-        Ok(EstimateReport { total: compute_free.max(comm_free), compute_busy, comm_busy })
+        let producers = LazyCell::new(|| graph.producer_positions());
+        sweep(graph.instrs(), |pos| self.time_at(graph, pos, |t| producers.get(&t).copied()))
     }
+}
+
+/// The two-stream sweep: each instruction starts when its inputs are
+/// ready and its stream (compute or communication) is free, and takes
+/// `time(i)` for the `i`-th instruction of `instrs`. Tensors no
+/// instruction of `instrs` produces are ready at 0.
+///
+/// # Errors
+///
+/// Propagates the first error of `time`.
+pub(crate) fn sweep(
+    instrs: &[Instr],
+    mut time: impl FnMut(usize) -> lancet_ir::Result<f64>,
+) -> lancet_ir::Result<EstimateReport> {
+    let mut ready: HashMap<TensorId, f64> = HashMap::new();
+    let mut compute_free = 0.0f64;
+    let mut comm_free = 0.0f64;
+    let mut compute_busy = 0.0;
+    let mut comm_busy = 0.0;
+    for (i, instr) in instrs.iter().enumerate() {
+        let in_ready = instr
+            .inputs
+            .iter()
+            .map(|t| ready.get(t).copied().unwrap_or(0.0))
+            .fold(0.0f64, f64::max);
+        let dur = time(i)?;
+        let end = if instr.op.is_comm() {
+            let start = in_ready.max(comm_free);
+            comm_free = start + dur;
+            comm_busy += dur;
+            comm_free
+        } else {
+            let start = in_ready.max(compute_free);
+            compute_free = start + dur;
+            compute_busy += dur;
+            compute_free
+        };
+        for &o in &instr.outputs {
+            ready.insert(o, end);
+        }
+    }
+    Ok(EstimateReport { total: compute_free.max(comm_free), compute_busy, comm_busy })
 }
 
 /// The `n` of the static-shape approximation for an irregular all-to-all:
 /// read from the `parts` attribute of the dispatch that originated its
 /// counts chain.
-fn irr_parts(graph: &Graph, pos: usize) -> usize {
-    let producers = graph.producer_positions();
+fn irr_parts(graph: &Graph, pos: usize, producer: impl Fn(TensorId) -> Option<usize>) -> usize {
     let mut cursor = graph.instrs()[pos].inputs[1];
     for _ in 0..graph.instrs().len() {
-        let Some(&p) = producers.get(&cursor) else { return 1 };
+        let Some(p) = producer(cursor) else { return 1 };
         match &graph.instrs()[p].op {
             Op::MoeDispatchIrr { parts, .. } => return *parts,
             Op::AllToAllIrr => cursor = graph.instrs()[p].inputs[1],

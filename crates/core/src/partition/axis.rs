@@ -21,7 +21,10 @@
 //!
 //! `infer_axes` is a pure function of the graph and range; the search
 //! engine in `dp` calls it from multiple worker threads and memoizes
-//! whole-candidate evaluations around it.
+//! whole-candidate evaluations around it. The only graph-wide fact it
+//! reads is each tensor's last use (`last_uses`); the engine indexes
+//! that once per pass and calls `infer_axes_in`, so a candidate costs
+//! O(its range), while the public [`infer_axes`] indexes the graph itself.
 
 use lancet_ir::{Graph, Op, TensorId, TensorKind};
 use std::collections::{HashMap, HashSet};
@@ -126,13 +129,35 @@ fn combos(op: &Op) -> Vec<(Vec<PartAxis>, Vec<PartAxis>)> {
 /// # Ok::<(), lancet_ir::IrError>(())
 /// ```
 pub fn infer_axes(graph: &Graph, range: Range<usize>) -> Option<AxisSolution> {
+    infer_axes_in(graph, range, &last_uses(graph))
+}
+
+/// Position of each tensor's last consumer, indexed by tensor id; `0` for
+/// a tensor nothing consumes. An output of a non-empty range is used
+/// after it exactly when `last_use[t] >= range.end` (its consumers all
+/// come after its producer, so an unused output never compares true).
+pub(crate) fn last_uses(graph: &Graph) -> Vec<usize> {
+    let mut last = vec![0; graph.tensors().len()];
+    for (pos, instr) in graph.instrs().iter().enumerate() {
+        for &t in &instr.inputs {
+            last[t.0 as usize] = pos;
+        }
+    }
+    last
+}
+
+/// [`infer_axes`] over a precomputed [`last_uses`] index of `graph`.
+pub(crate) fn infer_axes_in(
+    graph: &Graph,
+    range: Range<usize>,
+    last_use: &[usize],
+) -> Option<AxisSolution> {
     let instrs = &graph.instrs()[range.clone()];
     if instrs.is_empty() {
         return None;
     }
     let produced_in_range: HashSet<TensorId> =
         instrs.iter().flat_map(|i| i.outputs.iter().copied()).collect();
-    let users = graph.user_positions();
 
     // Boundary validity, checked for every complete assignment the DFS
     // produces — an assignment that satisfies the per-op constraints but
@@ -160,10 +185,7 @@ pub fn infer_axes(graph: &Graph, range: Range<usize>) -> Option<AxisSolution> {
         }
         for instr in instrs {
             for &t in &instr.outputs {
-                let used_outside = users
-                    .get(&t)
-                    .map(|ps| ps.iter().any(|&p| p >= range.end))
-                    .unwrap_or(false);
+                let used_outside = last_use[t.0 as usize] >= range.end;
                 if used_outside && !matches!(axes.get(&t).copied().unwrap_or(N), B | C) {
                     return false;
                 }

@@ -6,9 +6,10 @@
 //! consecutive non-MoE instructions are coalesced into time-balanced
 //! groups (the paper's group-size knob γ), MoE-related instructions stay
 //! atomic so candidate ranges can align exactly with pipeline boundaries.
-//! `P` is evaluated by materializing the candidate pipeline (axis
-//! inference + codegen) and pricing it with the estimator's two-stream
-//! sweep — the pipeline scheduler of paper §5.3.
+//! `P(i, n, k > 1)` is evaluated by materializing the candidate pipeline
+//! (axis inference + codegen) and pricing it with the estimator's
+//! two-stream sweep — the pipeline scheduler of paper §5.3. The plain
+//! `P(i, n, 1)` is the same sweep over the range's own instruction times.
 //!
 //! # The search engine
 //!
@@ -32,10 +33,25 @@
 //!   frontiers, and — when the memo is shared via
 //!   [`partition_pass_with`], as [`crate::Lancet`] does — across
 //!   repeated `optimize` calls (ablation sweeps, figure regeneration).
+//!
+//! # Facts indexed once per pass
+//!
+//! A pass prices thousands of candidates (6,729 for GPT2-S-MoE on 16
+//! V100s), so a candidate must cost O(its segment), never O(graph). Every
+//! graph-wide fact pricing reads — each tensor's producer and last use,
+//! each instruction's content hash and estimated time — is computed once
+//! per [`partition_pass_with`] call into a `PassIndex`, shared read-only
+//! by the workers. A candidate range infers its axes and builds its
+//! segment graph at most once, shared by all its `k`. `scripts/verify.sh`
+//! fails when candidate code calls `user_positions()` or
+//! `producer_positions()`.
 
-use crate::partition::{apply_partitions, infer_axes, PartitionSpec};
+use super::axis::{infer_axes_in, last_uses};
+use crate::estimate::sweep;
+use crate::partition::{apply_partitions, AxisSolution, PartitionSpec};
 use crate::{EstimateReport, TimeEstimator};
 use lancet_ir::{Graph, Instr, Op, Result, TensorId, TensorKind};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -51,7 +67,8 @@ pub struct PartitionOptions {
     /// γ-equivalent — number of groups each non-MoE instruction run is
     /// split into (paper: "5 groups between each MoE layer").
     pub groups_per_gap: usize,
-    /// ι — maximum partition-range length, in groups.
+    /// ι — maximum partition-range length, in groups. `0` means 1: every
+    /// group must stay priceable on its own, or the DP has no path.
     pub max_range_groups: usize,
     /// Worker threads pricing DP candidates concurrently. `0` defers to
     /// `LANCET_WORKERS` when set, else the machine's available
@@ -243,9 +260,10 @@ pub fn partition_pass_with(
     opts: &PartitionOptions,
     memo: &PartitionMemo,
 ) -> Result<(Graph, PartitionReport)> {
-    let fwd_end = forward_end(graph);
-    let groups = build_groups(graph, estimator, fwd_end, opts.groups_per_gap)?;
+    let index = PassIndex::new(graph, estimator)?;
+    let groups = build_groups(graph, &index.times, opts.groups_per_gap);
     let n = groups.len();
+    let max_range_groups = opts.max_range_groups.max(1);
     let workers = opts.effective_workers().max(1);
 
     // Candidate partition counts: 1 plus powers of two up to ρ.
@@ -277,11 +295,11 @@ pub fn partition_pass_with(
     let mut parent: Vec<Option<(usize, usize)>> = vec![None; n + 1];
 
     for j in 1..=n {
-        let lo = j.saturating_sub(opts.max_range_groups);
+        let lo = j.saturating_sub(max_range_groups);
         let tasks: Vec<CandidateTask> = (lo..j)
             .map(|i| CandidateTask { i, prange: groups[i].start..groups[j - 1].end })
             .collect();
-        let priced = price_frontier(graph, estimator, memo, device_fp, &ks, tasks, workers)?;
+        let priced = price_frontier(&index, estimator, memo, device_fp, &ks, tasks, workers)?;
 
         // Sequential min-reduction in ascending (i, k) order with a
         // strict `<`: ties resolve to the lowest (i, k), independent of
@@ -313,8 +331,7 @@ pub fn partition_pass_with(
 
     // Baseline: the whole forward region priced unpartitioned.
     let unpartitioned = if n > 0 {
-        let (seg, _) = segment_graph(graph, groups[0].start..groups[n - 1].end)?;
-        estimator.estimate(&seg)?.total
+        price_plain(&index, estimator, groups[0].start..groups[n - 1].end)?.total
     } else {
         0.0
     };
@@ -322,7 +339,7 @@ pub fn partition_pass_with(
     let specs: Vec<PartitionSpec> = chosen
         .iter()
         .map(|(range, k)| {
-            let axes = infer_axes(graph, range.clone())
+            let axes = infer_axes_in(graph, range.clone(), &index.last_use)
                 .expect("range was validated during DP evaluation");
             PartitionSpec { range: range.clone(), parts: *k, axes }
         })
@@ -348,7 +365,7 @@ pub fn partition_pass_with(
 /// come back in task order; the first evaluation error (in task order)
 /// is propagated.
 fn price_frontier(
-    graph: &Graph,
+    index: &PassIndex,
     estimator: &TimeEstimator,
     memo: Option<&PartitionMemo>,
     device_fp: u64,
@@ -356,7 +373,7 @@ fn price_frontier(
     tasks: Vec<CandidateTask>,
     workers: usize,
 ) -> Result<Vec<CandidateCosts>> {
-    let price = |task: &CandidateTask| price_candidates(graph, estimator, memo, device_fp, ks, task);
+    let price = |task: &CandidateTask| price_candidates(index, estimator, memo, device_fp, ks, task);
     let mut results: Vec<Option<Result<CandidateCosts>>> = Vec::new();
     if workers <= 1 || tasks.len() <= 1 {
         results.extend(tasks.iter().map(|t| Some(price(t))));
@@ -381,18 +398,20 @@ fn price_frontier(
 }
 
 /// Prices `P(i, n, k)` for every `k` of one candidate range, through the
-/// memo. Infeasible `k` are omitted from the result.
+/// memo. Infeasible `k` are omitted from the result. The range's segment
+/// graph and axes are built on first use and shared by every `k`.
 fn price_candidates(
-    graph: &Graph,
+    index: &PassIndex,
     estimator: &TimeEstimator,
     memo: Option<&PartitionMemo>,
     device_fp: u64,
     ks: &[usize],
     task: &CandidateTask,
 ) -> Result<CandidateCosts> {
+    let graph = index.graph;
     let prange = task.prange.clone();
     // Fingerprinting costs a span walk; the unmemoized baseline skips it.
-    let span_fp = memo.map(|_| segment_fingerprint(graph, &prange, device_fp)).unwrap_or(0);
+    let span_fp = memo.map(|_| segment_fingerprint(index, &prange, device_fp)).unwrap_or(0);
     let mut out = CandidateCosts { i: task.i, costs: Vec::new(), requested: 0, hits: 0, misses: 0 };
     let mut lookup = |k: usize, eval: &dyn Fn() -> Result<Option<EstimateReport>>| {
         out.requested += 1;
@@ -415,18 +434,31 @@ fn price_candidates(
         Ok::<_, lancet_ir::IrError>(value)
     };
 
-    let plain = lookup(1, &|| {
-        let (seg, _) = segment_graph(graph, prange.clone())?;
-        estimator.estimate(&seg).map(Some)
-    })?
-    .expect("plain estimate is always feasible");
+    let plain = lookup(1, &|| price_plain(index, estimator, prange.clone()).map(Some))?
+        .expect("plain estimate is always feasible");
     out.costs.push((1, plain.total));
 
     // Partitioning a segment without an all-to-all can only add
     // overhead; skip those evaluations entirely.
     if segment_has_a2a(graph, &prange) {
+        // The isolated segment and its axes, built on the first partitioned
+        // miss and shared by every `k`. Axes are inferred on the *original*
+        // graph, so boundary constraints include consumers outside the
+        // segment, then mapped into the segment for codegen and pricing.
+        let pipeline = OnceCell::new();
+        let pipeline = || {
+            pipeline.get_or_init(|| {
+                let sol = infer_axes_in(graph, prange.clone(), &index.last_use)?;
+                let (seg, remap) = segment_graph(graph, prange.clone()).ok()?;
+                let axes = sol.axes.iter().filter_map(|(t, &a)| remap.get(t).map(|&n| (n, a)));
+                Some((seg, AxisSolution { axes: axes.collect() }))
+            })
+        };
         for &k in ks.iter().filter(|&&k| k > 1) {
-            let part = lookup(k, &|| Ok(evaluate_partitioned(graph, estimator, prange.clone(), k)))?;
+            let part = lookup(k, &|| {
+                let pipeline = pipeline().as_ref();
+                Ok(pipeline.and_then(|(seg, axes)| evaluate_partitioned(estimator, seg, axes, k)))
+            })?;
             if let Some(part) = part {
                 // The backward of a partitioned forward is chunked the
                 // same way (autodiff runs after this pass) and pays
@@ -442,43 +474,109 @@ fn price_candidates(
     Ok(out)
 }
 
+/// Graph-wide facts candidate pricing needs, indexed once per
+/// [`partition_pass_with`] call so that pricing a candidate costs
+/// O(its segment), not O(graph).
+struct PassIndex<'g> {
+    graph: &'g Graph,
+    /// Each tensor's last consumer position (see `last_uses`).
+    last_use: Vec<usize>,
+    /// Each tensor's producer position, by tensor id; `usize::MAX` for
+    /// graph inputs and weights.
+    producer: Vec<usize>,
+    /// Per-instruction content hash: the op with its attributes, the
+    /// role, every input's shape and kind, and every output's shape.
+    instr_hash: Vec<u64>,
+    /// Estimated time of every instruction of the forward region (up to
+    /// the loss, see [`forward_end`]), in the whole graph's context.
+    times: Vec<f64>,
+}
+
+impl<'g> PassIndex<'g> {
+    fn new(graph: &'g Graph, estimator: &TimeEstimator) -> Result<Self> {
+        let mut producer = vec![usize::MAX; graph.tensors().len()];
+        for (pos, instr) in graph.instrs().iter().enumerate() {
+            for &o in &instr.outputs {
+                producer[o.0 as usize] = pos;
+            }
+        }
+        let lookup = |t: TensorId| Some(producer[t.0 as usize]).filter(|&p| p != usize::MAX);
+        let times = (0..forward_end(graph))
+            .map(|pos| estimator.time_at(graph, pos, lookup))
+            .collect::<Result<_>>()?;
+        let instr_hash = graph
+            .instrs()
+            .iter()
+            .map(|instr| {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                format!("{:?}", instr.op).hash(&mut h);
+                instr.role.hash(&mut h);
+                for &t in &instr.inputs {
+                    let def = graph.tensor(t);
+                    def.shape.dims().hash(&mut h);
+                    def.kind.hash(&mut h);
+                }
+                for &t in &instr.outputs {
+                    graph.tensor(t).shape.dims().hash(&mut h);
+                }
+                h.finish()
+            })
+            .collect();
+        Ok(PassIndex { graph, last_use: last_uses(graph), producer, instr_hash, times })
+    }
+}
+
+/// Prices a plain (`k = 1`) candidate: the sweep over the range's
+/// per-pass instruction times, boundary inputs ready at 0 — exactly what
+/// `estimate` returns for the range's segment graph, without building
+/// it. The one context-dependent time, an irregular all-to-all's, is
+/// re-priced as its segment sees it: a counts chain that leaves the range
+/// ends there.
+fn price_plain(
+    index: &PassIndex,
+    estimator: &TimeEstimator,
+    range: Range<usize>,
+) -> Result<EstimateReport> {
+    let graph = index.graph;
+    let instrs = &graph.instrs()[range.clone()];
+    sweep(instrs, |i| {
+        let pos = range.start + i;
+        match instrs[i].op {
+            Op::AllToAllIrr => estimator.time_at(graph, pos, |t| {
+                Some(index.producer[t.0 as usize]).filter(|p| range.contains(p))
+            }),
+            _ => Ok(index.times[pos]),
+        }
+    })
+}
+
 /// Content hash of a candidate segment: everything `P(i, n, k)` depends
-/// on besides `k` — the ops, every input/output shape, boundary-tensor
-/// kinds, which outputs escape the range, and the pricing context
-/// (device fingerprint). Instruction *positions* are deliberately
-/// excluded so structurally repeated layers share entries.
-fn segment_fingerprint(graph: &Graph, range: &Range<usize>, device_fp: u64) -> u64 {
+/// on besides `k` — each instruction's content hash (ops, shapes,
+/// boundary-tensor kinds), the local dataflow between them, which outputs
+/// escape the range, and the pricing context (device fingerprint).
+/// Instruction *positions* are deliberately excluded so structurally
+/// repeated layers share entries.
+fn segment_fingerprint(index: &PassIndex, range: &Range<usize>, device_fp: u64) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     device_fp.hash(&mut h);
-    let instrs = &graph.instrs()[range.clone()];
-    let users = graph.user_positions();
     // Stable local ids for produced tensors so dataflow (not raw tensor
     // ids) is hashed.
     let mut local: HashMap<TensorId, usize> = HashMap::new();
-    for instr in instrs {
-        format!("{:?}", instr.op).hash(&mut h);
-        instr.role.hash(&mut h);
+    let instrs = index.graph.instrs()[range.clone()].iter();
+    for (instr, &instr_hash) in instrs.zip(&index.instr_hash[range.clone()]) {
+        instr_hash.hash(&mut h);
         for &t in &instr.inputs {
-            let def = graph.tensor(t);
-            def.shape.dims().hash(&mut h);
-            def.kind.hash(&mut h);
             match local.get(&t) {
                 Some(&id) => (0u8, id).hash(&mut h),
                 None => 1u8.hash(&mut h), // boundary input
             }
         }
         for &t in &instr.outputs {
-            let def = graph.tensor(t);
-            def.shape.dims().hash(&mut h);
             let id = local.len();
             local.insert(t, id);
             // Whether this output escapes the range constrains axis
             // inference (boundary tensors must stay sliceable).
-            let escapes = users
-                .get(&t)
-                .map(|ps| ps.iter().any(|&p| p >= range.end))
-                .unwrap_or(false);
-            escapes.hash(&mut h);
+            (index.last_use[t.0 as usize] >= range.end).hash(&mut h);
         }
     }
     h.finish()
@@ -509,44 +607,36 @@ fn is_atom(op: &Op) -> bool {
     )
 }
 
-/// Splits `[0, fwd_end)` into contiguous groups: MoE atoms are singleton
-/// groups; runs of other instructions are split into `per_gap`
-/// time-balanced groups.
+/// Splits the forward region (`times` covers it) into contiguous groups:
+/// MoE atoms are singleton groups; runs of other instructions are split
+/// into `per_gap` time-balanced groups.
 #[allow(clippy::needless_range_loop)] // position-indexed time accumulation
-fn build_groups(
-    graph: &Graph,
-    estimator: &TimeEstimator,
-    fwd_end: usize,
-    per_gap: usize,
-) -> Result<Vec<Range<usize>>> {
+fn build_groups(graph: &Graph, times: &[f64], per_gap: usize) -> Vec<Range<usize>> {
+    let fwd_end = times.len();
     let mut groups = Vec::new();
     let mut run_start: Option<usize> = None;
-    let flush_run =
-        |groups: &mut Vec<Range<usize>>, start: usize, end: usize, times: &[f64]| {
-            if start >= end {
-                return;
+    let flush_run = |groups: &mut Vec<Range<usize>>, start: usize, end: usize| {
+        if start >= end {
+            return;
+        }
+        let total: f64 = times[start..end].iter().sum();
+        let target = total / per_gap.max(1) as f64;
+        let mut acc = 0.0;
+        let mut gstart = start;
+        for p in start..end {
+            acc += times[p];
+            if acc >= target && p + 1 < end {
+                groups.push(gstart..p + 1);
+                gstart = p + 1;
+                acc = 0.0;
             }
-            let total: f64 = times[start..end].iter().sum();
-            let target = total / per_gap.max(1) as f64;
-            let mut acc = 0.0;
-            let mut gstart = start;
-            for p in start..end {
-                acc += times[p];
-                if acc >= target && p + 1 < end {
-                    groups.push(gstart..p + 1);
-                    gstart = p + 1;
-                    acc = 0.0;
-                }
-            }
-            groups.push(gstart..end);
-        };
-    let times: Vec<f64> = (0..fwd_end)
-        .map(|p| estimator.instr_time(graph, p))
-        .collect::<Result<_>>()?;
+        }
+        groups.push(gstart..end);
+    };
     for pos in 0..fwd_end {
         if is_atom(&graph.instrs()[pos].op) {
             if let Some(s) = run_start.take() {
-                flush_run(&mut groups, s, pos, &times);
+                flush_run(&mut groups, s, pos);
             }
             groups.push(pos..pos + 1);
         } else if run_start.is_none() {
@@ -554,9 +644,9 @@ fn build_groups(
         }
     }
     if let Some(s) = run_start {
-        flush_run(&mut groups, s, fwd_end, &times);
+        flush_run(&mut groups, s, fwd_end);
     }
-    Ok(groups)
+    groups
 }
 
 /// Builds a standalone graph containing just `range`, with every
@@ -590,29 +680,17 @@ fn segment_has_a2a(graph: &Graph, range: &Range<usize>) -> bool {
     graph.instrs()[range.clone()].iter().any(|i| i.op.is_all_to_all())
 }
 
-/// Prices `P(i, n, k)`: axis inference, codegen, estimated sweep.
-/// `None` when the range is not partitionable into `k` parts.
+/// Prices `P(i, n, k)` of an isolated segment with its inferred axes:
+/// codegen, then the estimated sweep. `None` when the segment does not
+/// split into `k` parts.
 fn evaluate_partitioned(
-    graph: &Graph,
     estimator: &TimeEstimator,
-    range: Range<usize>,
+    seg: &Graph,
+    axes: &AxisSolution,
     k: usize,
 ) -> Option<EstimateReport> {
-    // Infer axes on the *original* graph so boundary constraints include
-    // consumers outside the segment, then map the solution into the
-    // isolated segment for codegen and pricing.
-    let sol = infer_axes(graph, range.clone())?;
-    let (seg, remap) = segment_graph(graph, range).ok()?;
-    let seg_axes = crate::AxisSolution {
-        axes: sol
-            .axes
-            .iter()
-            .filter_map(|(t, &a)| remap.get(t).map(|&n| (n, a)))
-            .collect(),
-    };
-    let len = seg.instrs().len();
-    let spec = PartitionSpec { range: 0..len, parts: k, axes: seg_axes };
-    let part = apply_partitions(&seg, &[spec]).ok()?;
+    let spec = PartitionSpec { range: 0..seg.instrs().len(), parts: k, axes: axes.clone() };
+    let part = apply_partitions(seg, &[spec]).ok()?;
     estimator.estimate(&part).ok()
 }
 
@@ -620,7 +698,7 @@ fn evaluate_partitioned(
 mod tests {
     use super::*;
     use lancet_cost::{CachingOpProfiler, ClusterSpec, CommCostModel, CommModel, ComputeModel};
-    use lancet_ir::GateKind;
+    use lancet_ir::{GateKind, Role};
     use lancet_models::{build_forward, GptMoeConfig};
 
     fn estimator(gpus: usize, nodes: usize) -> TimeEstimator {
@@ -645,7 +723,8 @@ mod tests {
         let g = small_model(GateKind::Switch, 16);
         let est = estimator(16, 2);
         let fwd_end = forward_end(&g);
-        let groups = build_groups(&g, &est, fwd_end, 5).unwrap();
+        let index = PassIndex::new(&g, &est).unwrap();
+        let groups = build_groups(&g, &index.times, 5);
         // Groups tile the region exactly.
         assert_eq!(groups[0].start, 0);
         assert_eq!(groups.last().unwrap().end, fwd_end);
@@ -774,6 +853,106 @@ mod tests {
         let est_b = estimator(32, 4);
         let (_, second) = partition_pass_with(&g, &est_b, &opts, &memo).unwrap();
         assert_eq!(second.memo_misses, first.memo_misses, "cross-cluster hits would be wrong");
+    }
+
+    /// The memo key of `range`'s candidates (device fingerprint 0).
+    fn fingerprint(g: &Graph, range: Range<usize>) -> u64 {
+        let index = PassIndex::new(g, &estimator(16, 2)).unwrap();
+        segment_fingerprint(&index, &range, 0)
+    }
+
+    /// `x → MatMul → op → Gelu`; `op` takes the product and `weights`
+    /// fresh `(16,)` weights.
+    fn chain(op: Op, weights: usize) -> Graph {
+        let mut g = Graph::new();
+        let x = g.input("x", vec![4, 8, 16]);
+        let w = g.weight("w", vec![16, 16]);
+        let mut ins = vec![g.emit(Op::MatMul { transpose_b: false }, &[x, w], Role::Forward).unwrap()];
+        ins.extend((0..weights).map(|i| g.weight(format!("w{i}"), vec![16])));
+        let y = g.emit(op, &ins, Role::Forward).unwrap();
+        g.emit(Op::Gelu, &[y], Role::Forward).unwrap();
+        g
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_op_attributes() {
+        let scaled = |factor| fingerprint(&chain(Op::Scale { factor }, 0), 0..3);
+        let normed = |eps| fingerprint(&chain(Op::LayerNorm { eps }, 2), 0..3);
+        assert_eq!(scaled(0.5), scaled(0.5));
+        assert_ne!(scaled(0.5), scaled(0.25));
+        assert_ne!(normed(1e-5), normed(1e-6));
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_escaping_outputs() {
+        // Identical first instruction; only whether its output is used
+        // after the range differs.
+        let build = |use_y: bool| {
+            let mut g = Graph::new();
+            let x = g.input("x", vec![4, 8, 16]);
+            let y = g.emit(Op::Gelu, &[x], Role::Forward).unwrap();
+            g.emit(Op::Relu, &[if use_y { y } else { x }], Role::Forward).unwrap();
+            g
+        };
+        assert_ne!(fingerprint(&build(true), 0..1), fingerprint(&build(false), 0..1));
+        // Over the whole program nothing escapes, so the keys differ only
+        // through the second instruction's dataflow.
+        assert_ne!(fingerprint(&build(true), 0..2), fingerprint(&build(false), 0..2));
+    }
+
+    #[test]
+    fn fingerprint_matches_the_same_layer_at_two_positions() {
+        let cfg = GptMoeConfig::gpt2_s_moe(16, GateKind::Switch).with_layers(8).with_batch(8);
+        let g = build_forward(&cfg).unwrap().graph;
+        // Two all-to-alls per MoE layer (every other layer): the second
+        // and third span a[2]..a[4] and a[4]..a[6], with the same shapes,
+        // dataflow and escapes.
+        let a = g.all_to_all_positions();
+        assert_eq!(fingerprint(&g, a[2]..a[4]), fingerprint(&g, a[4]..a[6]));
+        assert_ne!(fingerprint(&g, a[2]..a[4]), fingerprint(&g, a[2]..a[4] + 1));
+    }
+
+    /// A plain candidate priced from the per-pass times is bit-identical
+    /// to the estimate of its segment graph, also for irregular
+    /// all-to-alls whose counts chain starts before the range.
+    #[test]
+    fn plain_pricing_matches_the_segment_estimate() {
+        let est = estimator(16, 2);
+        let forward = small_model(GateKind::Switch, 16);
+        // Pipeline every MoE layer gate..gather in 4 parts, irregularly.
+        let fwd = &forward;
+        let at = |pred: fn(&Op) -> bool| (0..forward_end(fwd)).filter(move |&p| pred(&fwd.instrs()[p].op));
+        let specs: Vec<PartitionSpec> = at(|op| matches!(op, Op::Gate { .. }))
+            .zip(at(|op| matches!(op, Op::MoeGather { .. })))
+            .map(|(gate, gather)| {
+                let axes = crate::infer_axes(&forward, gate..gather + 1).unwrap();
+                PartitionSpec { range: gate..gather + 1, parts: 4, axes }
+            })
+            .collect();
+        assert!(!specs.is_empty());
+        let g = apply_partitions(&forward, &specs).unwrap();
+        let index = PassIndex::new(&g, &est).unwrap();
+        let fwd_end = forward_end(&g);
+        let mut cut_chains = 0;
+        for start in (0..fwd_end).step_by(5) {
+            for end in (start + 1..=fwd_end.min(start + 120)).step_by(7) {
+                let range = start..end;
+                let plain = price_plain(&index, &est, range.clone()).unwrap();
+                let (seg, _) = segment_graph(&g, range.clone()).unwrap();
+                let whole = est.estimate(&seg).unwrap();
+                assert_eq!(
+                    [plain.total, plain.compute_busy, plain.comm_busy].map(f64::to_bits),
+                    [whole.total, whole.compute_busy, whole.comm_busy].map(f64::to_bits),
+                    "range {range:?}"
+                );
+                cut_chains += g.instrs()[range.clone()]
+                    .iter()
+                    .filter(|i| matches!(i.op, Op::AllToAllIrr))
+                    .filter(|i| index.producer[i.inputs[1].0 as usize] < start)
+                    .count();
+            }
+        }
+        assert!(cut_chains > 0, "no range cut an irregular counts chain");
     }
 
     #[test]

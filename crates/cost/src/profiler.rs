@@ -18,6 +18,7 @@
 
 use crate::ComputeModel;
 use lancet_ir::{Op, Shape};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -63,7 +64,7 @@ impl ProfilerStats {
 #[derive(Debug)]
 pub struct CachingOpProfiler {
     model: ComputeModel,
-    cache: RwLock<HashMap<String, f64>>,
+    cache: RwLock<HashMap<Vec<u8>, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -90,17 +91,19 @@ impl CachingOpProfiler {
     ///
     /// Propagates [`lancet_ir::IrError`] if the op rejects the shapes.
     pub fn profile(&self, op: &Op, ins: &[&Shape]) -> lancet_ir::Result<f64> {
-        let key = profile_key(op, ins);
-        if let Some(&t) = self.cache.read().expect("profiler cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(t);
-        }
-        let outs = op.infer_shapes(ins)?;
-        let out_refs: Vec<&Shape> = outs.iter().collect();
-        let t = self.model.op_time(op, ins, &out_refs);
-        self.cache.write().expect("profiler cache poisoned").insert(key, t);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok(t)
+        KEY.with_borrow_mut(|key| {
+            write_key(key, op, ins);
+            if let Some(&t) = self.cache.read().expect("profiler cache poisoned").get(key.as_slice()) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(t);
+            }
+            let outs = op.infer_shapes(ins)?;
+            let out_refs: Vec<&Shape> = outs.iter().collect();
+            let t = self.model.op_time(op, ins, &out_refs);
+            self.cache.write().expect("profiler cache poisoned").insert(key.clone(), t);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            Ok(t)
+        })
     }
 
     /// Current cache statistics.
@@ -117,13 +120,27 @@ impl CachingOpProfiler {
     }
 }
 
-fn profile_key(op: &Op, ins: &[&Shape]) -> String {
-    use std::fmt::Write as _;
-    let mut key = format!("{op:?}|");
+thread_local! {
+    /// The calling thread's key buffer: a hit allocates nothing, and only
+    /// a miss copies the key into the cache.
+    static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Writes the exact cache key of `(op, ins)` into `key`: the op's `Debug`
+/// text (every attribute), a `0xff` byte (never part of UTF-8 text), then
+/// each input's rank and extents as little-endian `u64`s. Distinct
+/// queries give distinct keys.
+fn write_key(key: &mut Vec<u8>, op: &Op, ins: &[&Shape]) {
+    use std::io::Write as _;
+    key.clear();
+    write!(key, "{op:?}").expect("writing to a Vec cannot fail");
+    key.push(0xff);
     for s in ins {
-        let _ = write!(key, "{s};");
+        key.extend_from_slice(&(s.rank() as u64).to_le_bytes());
+        for &d in s.dims() {
+            key.extend_from_slice(&(d as u64).to_le_bytes());
+        }
     }
-    key
 }
 
 #[cfg(test)]

@@ -38,6 +38,33 @@ if grep -rnE 'env::var(_os)?\([[:space:]]*"LANCET_' crates/*/src src |
     exit 1
 fi
 
+echo "==> partition candidates are priced in O(segment)"
+# The partition search prices thousands of candidates per pass, so
+# graph-wide facts are indexed once per pass (PassIndex::new in
+# partition/dp.rs) or once per estimator sweep (TimeEstimator::estimate
+# and instr_time), and the public infer_axes indexes its own graph. A
+# user_positions() or producer_positions() call in any other function of
+# these files rebuilds a whole-graph map per candidate and fails here.
+if ! awk '
+    FNR == 1 { fn = "" }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*\/\// { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [A-Za-z_0-9]+/ {
+        fn = $0; sub(/^[[:space:]]*(pub(\([a-z]+\))? )?fn /, "", fn); sub(/[^A-Za-z_0-9].*/, "", fn)
+    }
+    /(user|producer)_positions\(\)/ {
+        file = FILENAME; sub(/.*\//, "", file)
+        if (!((file == "dp.rs" && fn == "new") || (file == "axis.rs" && fn == "infer_axes") ||
+              (file == "estimate.rs" && (fn == "estimate" || fn == "instr_time")))) {
+            printf "%s:%d: in fn %s: %s\n", FILENAME, FNR, fn, $0; bad = 1
+        }
+    }
+    END { exit bad }
+' crates/core/src/partition/dp.rs crates/core/src/partition/axis.rs crates/core/src/estimate.rs; then
+    echo "error: whole-graph index rebuilt in per-candidate code; index it once per pass" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
