@@ -14,10 +14,9 @@
 //! * `cargo bench -p lancet-bench --bench decode -- --quick` — shorter
 //!   trace, both floors, no artifact.
 
+use lancet_bench::load::{decode_trace, replay_decode, DecodeReplay};
 use lancet_bench::Json;
-use lancet_decode::{
-    decode_trace, replay_decode, BatchMode, DecodeConfig, DecodeReplayReport, DecodeRuntime,
-};
+use lancet_decode::{BatchMode, DecodeConfig, DecodeRuntime};
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
 use lancet_serve::ServeStats;
@@ -57,7 +56,7 @@ fn main() {
     // first-wave sequence before its prefill, so continuous batching's
     // step-boundary joins should win mean TTFT by construction.
     let trace = decode_trace(requests, RATE_HZ, PROMPT_LEN, MAX_NEW, cfg.vocab, SEED);
-    let expected_tokens: usize = trace.iter().map(|r| r.max_new).sum();
+    let expected_tokens: usize = trace.iter().map(|r| r.request.max_new).sum();
     println!(
         "decode: {requests} requests @ {RATE_HZ:.0}/s (open loop), prompts 4–12, gen 8–24, \
          model {} ({} layers, hidden {}), in-flight cap {INFLIGHT}{}",
@@ -67,7 +66,7 @@ fn main() {
         if quick { " (quick)" } else { "" }
     );
 
-    let run_leg = |mode: BatchMode, cap: usize| -> (DecodeReplayReport, ServeStats) {
+    let run_leg = |mode: BatchMode, cap: usize| -> (DecodeReplay, ServeStats) {
         let runtime = DecodeRuntime::start(DecodeConfig {
             mode,
             max_inflight: cap,
@@ -142,7 +141,7 @@ fn main() {
             ])
         })
         .collect();
-    let leg = |r: &DecodeReplayReport| {
+    let leg = |r: &DecodeReplay| {
         Json::obj([
             ("mean_ttft_ms", Json::fixed(r.mean_ttft_ms, 3)),
             ("p95_ttft_ms", Json::fixed(r.p95_ttft_ms, 3)),

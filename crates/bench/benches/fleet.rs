@@ -7,9 +7,13 @@
 //!   and requires store-loaded replies to equal generated ones bit for bit;
 //! * scaling — sends the same closed burst through 1→4 store-backed
 //!   replicas and requires 4 replicas to reach ≥ 2.5x one replica's
-//!   throughput. One exec worker per replica plus a fixed per-batch
-//!   service floor emulate fixed-latency devices, so the table measures
-//!   routing and stealing, not host-CPU contention;
+//!   throughput. One exec worker per replica plus a fixed delay before
+//!   every batch (fault injection with `slow_worker: 1.0`) emulate
+//!   fixed-latency devices, so this table measures routing and
+//!   stealing, not host-CPU contention: it is tagged `emulated`;
+//! * compute — the same burst through 1 and 2 replicas with no delay,
+//!   measured on host compute alone and not gated (a host with `c` cores
+//!   cannot scale past `c`x);
 //! * chaos — crashes the routed replica with its queue full and requires
 //!   every admitted ticket to answer via re-routing (zero lost).
 //!
@@ -26,13 +30,15 @@ use lancet_bench::Json;
 use lancet_fleet::{Fleet, FleetConfig};
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::{canonical_weights, pack_weights, ServeConfig, ServeRuntime};
+use lancet_serve::{canonical_weights, pack_weights, FaultSpec, ServeConfig, ServeRuntime};
 use lancet_store::{open_store, write_store};
 
 /// Largest fleet size swept.
 const REPLICAS: usize = 4;
-/// Per-batch service floor emulating device time, ms.
-const FLOOR_MS: u64 = 10;
+/// Delay before every batch of the scaling sweep, emulating device time, ms.
+const DELAY_MS: u64 = 10;
+/// Delay before every batch of the crash leg, ms.
+const CHAOS_DELAY_MS: u64 = 5;
 /// Scaling floor at `REPLICAS` replicas.
 const MIN_SPEEDUP: f64 = 2.5;
 /// Replicas and burst size of the crash leg.
@@ -46,13 +52,22 @@ fn main() {
         max_batch: 2,
         batch_window: Duration::from_millis(1),
         exec_workers: 1,
-        service_floor: Duration::from_millis(FLOOR_MS),
         ..ServeConfig::default()
+    };
+    // `slow_worker: 1.0` always fires, so every batch costs its
+    // execution plus the delay.
+    let delayed = |ms: u64| ServeConfig {
+        fault: Some(FaultSpec {
+            slow_worker: 1.0,
+            slow_delay: Duration::from_millis(ms),
+            ..FaultSpec::quiet(serve.seed)
+        }),
+        ..serve.clone()
     };
     let mut cfg = GptMoeConfig::tiny(1, GateKind::Switch);
     cfg.name = "GPT2-XS-MoE-fleet".into();
     println!(
-        "fleet: {requests} requests, 1→{REPLICAS} replicas, {FLOOR_MS} ms service floor, \
+        "fleet: {requests} requests, 1→{REPLICAS} replicas, {DELAY_MS} ms per-batch delay, \
          model {}{}",
         cfg.name,
         if quick { " (quick)" } else { "" }
@@ -108,63 +123,72 @@ fn main() {
         if stored.mapped { "mapped" } else { "heap fallback" }
     );
 
-    // ── Scaling sweep: the same closed burst through 1..=REPLICAS replicas.
-    println!("\n  replicas   wall (ms)   req/s   speedup   p50 (ms)   p99 (ms)   stolen");
-    let mut rows = Vec::new();
-    let mut base_rps = 0.0f64;
-    let mut speedup = 0.0f64;
-    for n in 1..=REPLICAS {
-        let fleet =
-            Fleet::start(FleetConfig { replicas: n, serve: serve.clone(), steal_threshold: 1 });
-        fleet
-            .register_model_with_weights(cfg.clone(), &stored.weights, Some(&stored.packs))
-            .expect("register");
-        // Pre-build every bucket's plan on every replica, then run one
-        // settling wave, so the timed burst measures steady-state
-        // service rather than plan compilation.
-        fleet.warm(&cfg.name).expect("warm");
-        let warm: Vec<_> =
-            (0..(2 * n)).map(|i| fleet.submit(&cfg.name, prompt(i)).expect("submit")).collect();
-        for t in warm {
-            t.wait().expect("warm reply");
-        }
+    // ── Scaling: the same closed burst through 1..=max replicas under
+    // `serve`. Returns max replicas' speedup over one and the table.
+    let sweep = |label: &str, serve: &ServeConfig, max: usize| -> (f64, Json) {
+        println!("\n  {label}");
+        println!("  replicas   wall (ms)   req/s   speedup   p50 (ms)   p99 (ms)   stolen");
+        let mut rows = Vec::new();
+        let mut base_rps = 0.0f64;
+        let mut speedup = 0.0f64;
+        for n in 1..=max {
+            let fleet =
+                Fleet::start(FleetConfig { replicas: n, serve: serve.clone(), steal_threshold: 1 });
+            fleet
+                .register_model_with_weights(cfg.clone(), &stored.weights, Some(&stored.packs))
+                .expect("register");
+            // Pre-build every bucket's plan on every replica, then run one
+            // settling wave, so the timed burst measures steady-state
+            // service rather than plan compilation.
+            fleet.warm(&cfg.name).expect("warm");
+            let warm: Vec<_> =
+                (0..(2 * n)).map(|i| fleet.submit(&cfg.name, prompt(i)).expect("submit")).collect();
+            for t in warm {
+                t.wait().expect("warm reply");
+            }
 
-        let t = Instant::now();
-        let tickets: Vec<_> =
-            (0..requests).map(|i| fleet.submit(&cfg.name, prompt(i)).expect("submit")).collect();
-        for ticket in tickets {
-            ticket.wait().expect("reply");
-        }
-        let wall = t.elapsed().as_secs_f64();
-        let stats = fleet.stats();
-        fleet.shutdown();
-        assert_eq!(stats.merged.outstanding(), 0, "{n}-replica leg left requests unanswered");
+            let t = Instant::now();
+            let tickets: Vec<_> =
+                (0..requests).map(|i| fleet.submit(&cfg.name, prompt(i)).expect("submit")).collect();
+            for ticket in tickets {
+                ticket.wait().expect("reply");
+            }
+            let wall = t.elapsed().as_secs_f64();
+            let stats = fleet.stats();
+            fleet.shutdown();
+            assert_eq!(stats.merged.outstanding(), 0, "{n}-replica leg left requests unanswered");
 
-        let rps = requests as f64 / wall;
-        if n == 1 {
-            base_rps = rps;
+            let rps = requests as f64 / wall;
+            if n == 1 {
+                base_rps = rps;
+            }
+            speedup = rps / base_rps;
+            println!(
+                "  {n:>8} {:>11.1} {:>7.1} {:>8.2}x {:>10.2} {:>10.2} {:>8}",
+                wall * 1e3,
+                rps,
+                speedup,
+                stats.merged.p50_ms,
+                stats.merged.p99_ms,
+                stats.stolen
+            );
+            rows.push(Json::obj([
+                ("replicas", n.into()),
+                ("requests", requests.into()),
+                ("wall_ms", Json::fixed(wall * 1e3, 1)),
+                ("throughput_rps", Json::fixed(rps, 1)),
+                ("speedup", Json::fixed(speedup, 3)),
+                ("p50_ms", Json::fixed(stats.merged.p50_ms, 3)),
+                ("p99_ms", Json::fixed(stats.merged.p99_ms, 3)),
+                ("stolen", stats.stolen.into()),
+            ]));
         }
-        speedup = rps / base_rps;
-        println!(
-            "  {n:>8} {:>11.1} {:>7.1} {:>8.2}x {:>10.2} {:>10.2} {:>8}",
-            wall * 1e3,
-            rps,
-            speedup,
-            stats.merged.p50_ms,
-            stats.merged.p99_ms,
-            stats.stolen
-        );
-        rows.push(Json::obj([
-            ("replicas", n.into()),
-            ("requests", requests.into()),
-            ("wall_ms", Json::fixed(wall * 1e3, 1)),
-            ("throughput_rps", Json::fixed(rps, 1)),
-            ("speedup", Json::fixed(speedup, 3)),
-            ("p50_ms", Json::fixed(stats.merged.p50_ms, 3)),
-            ("p99_ms", Json::fixed(stats.merged.p99_ms, 3)),
-            ("stolen", stats.stolen.into()),
-        ]));
-    }
+        (speedup, Json::arr(rows))
+    };
+    let (speedup, scaling) =
+        sweep(&format!("emulated: {DELAY_MS} ms delay before every batch"), &delayed(DELAY_MS), REPLICAS);
+    // Measured on host compute alone: no gate.
+    let (_, compute) = sweep("compute: no delay (not gated)", &serve, 2);
     // With device time emulated, 4 replicas must buy well over half
     // their nominal capacity.
     assert!(
@@ -176,7 +200,7 @@ fn main() {
     // admitted ticket must still answer via re-routing.
     let fleet = Fleet::start(FleetConfig {
         replicas: CHAOS_REPLICAS,
-        serve: ServeConfig { service_floor: Duration::from_millis(5), ..serve.clone() },
+        serve: delayed(CHAOS_DELAY_MS),
         steal_threshold: usize::MAX,
     });
     fleet
@@ -213,7 +237,6 @@ fn main() {
             "workload",
             Json::obj([
                 ("requests", requests.into()),
-                ("service_floor_ms", FLOOR_MS.into()),
                 ("max_batch", serve.max_batch.into()),
                 ("seed", serve.seed.into()),
             ]),
@@ -243,11 +266,20 @@ fn main() {
                 ("first_request_ms", Json::fixed(first_request_ms, 2)),
             ]),
         ),
-        ("scaling", Json::arr(rows)),
+        (
+            "scaling",
+            Json::obj([
+                ("emulated", true.into()),
+                ("batch_delay_ms", DELAY_MS.into()),
+                ("rows", scaling),
+            ]),
+        ),
+        ("compute", Json::obj([("emulated", false.into()), ("rows", compute)])),
         (
             "chaos",
             Json::obj([
                 ("replicas", CHAOS_REPLICAS.into()),
+                ("batch_delay_ms", CHAOS_DELAY_MS.into()),
                 ("requests", CHAOS_REQUESTS.into()),
                 ("crashed", chaos.merged.crashed.into()),
                 ("rerouted", chaos.rerouted.into()),

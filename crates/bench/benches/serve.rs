@@ -21,14 +21,13 @@
 
 use std::time::Duration;
 
+use lancet_bench::load::{replay_serve, serve_trace};
 use lancet_bench::{interleaved, Json, Summary};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_core::{Lancet, LancetOptions};
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::{
-    canonical_weights, open_loop_trace, replay_open_loop, Plan, ServeConfig, ServeRuntime,
-};
+use lancet_serve::{canonical_weights, Plan, ServeConfig, ServeRuntime};
 use lancet_tensor::Tensor;
 
 /// Steady-state serving must beat cold optimize-per-request by at least
@@ -62,7 +61,7 @@ fn main() {
     };
     let trace_len = if quick { 16 } else { 48 };
     let rate_hz = 40.0;
-    let trace = open_loop_trace(trace_len.max(BURST), rate_hz, cfg.seq, cfg.vocab, 0xbead);
+    let trace = serve_trace(trace_len.max(BURST), rate_hz, cfg.seq, cfg.vocab, 0xbead);
 
     // The transparent-batching contract, checked on the exact benched
     // model: micro-batched responses must equal solo serving bit for bit.
@@ -74,7 +73,7 @@ fn main() {
         });
         solo.register_model(cfg.clone()).unwrap();
         let want: Vec<_> = (0..4)
-            .map(|i| solo.submit_blocking(&cfg.name, trace[i].ids.clone()).unwrap())
+            .map(|i| solo.submit_blocking(&cfg.name, trace[i].request.clone()).unwrap())
             .collect();
         solo.shutdown();
 
@@ -84,7 +83,7 @@ fn main() {
         });
         batched.register_model(cfg.clone()).unwrap();
         let tickets: Vec<_> =
-            (0..4).map(|i| batched.submit(&cfg.name, trace[i].ids.clone()).unwrap()).collect();
+            (0..4).map(|i| batched.submit(&cfg.name, trace[i].request.clone()).unwrap()).collect();
         for (i, t) in tickets.into_iter().enumerate() {
             let got = t.wait().unwrap();
             assert_eq!(got.data(), want[i].data(), "request {i} not bit-identical to solo");
@@ -97,7 +96,7 @@ fn main() {
     // + batch-of-one execution, per request.
     let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
     let canonical = canonical_weights(&normalized, config.seed).unwrap();
-    let solo_ids = Tensor::from_vec(vec![1, cfg.seq], trace[0].ids.clone()).unwrap();
+    let solo_ids = Tensor::from_vec(vec![1, cfg.seq], trace[0].request.clone()).unwrap();
 
     // Steady state: closed bursts through a warm plan cache. Warm every
     // power-of-two bucket first so the measurement sees only hits.
@@ -106,7 +105,7 @@ fn main() {
     let mut bucket = 1;
     while bucket <= config.max_batch.next_power_of_two() {
         let tickets: Vec<_> =
-            (0..bucket).map(|i| runtime.submit(&cfg.name, trace[i].ids.clone()).unwrap()).collect();
+            (0..bucket).map(|i| runtime.submit(&cfg.name, trace[i].request.clone()).unwrap()).collect();
         tickets.into_iter().for_each(|t| {
             t.wait().unwrap();
         });
@@ -124,7 +123,7 @@ fn main() {
             }),
             ("steady_state_burst", &mut || {
                 let tickets: Vec<_> = (0..BURST)
-                    .map(|i| runtime.submit(&cfg.name, trace[i].ids.clone()).unwrap())
+                    .map(|i| runtime.submit(&cfg.name, trace[i].request.clone()).unwrap())
                     .collect();
                 tickets.into_iter().for_each(|t| {
                     t.wait().unwrap();
@@ -143,7 +142,7 @@ fn main() {
     );
 
     // Open-loop replay for the serving-quality numbers.
-    let replay = replay_open_loop(&runtime, &cfg.name, &trace[..trace_len]);
+    let replay = replay_serve(&runtime, &cfg.name, &trace[..trace_len]);
     let stats = runtime.stats();
     runtime.shutdown();
     assert!(stats.cache_hit_rate() > 0.0, "plan cache never hit");

@@ -12,6 +12,7 @@
 //! `--quick` to shrink the sweep for smoke testing.
 
 pub mod figs;
+pub mod load;
 mod record;
 mod timer;
 

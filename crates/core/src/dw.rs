@@ -2,6 +2,7 @@
 
 use crate::TimeEstimator;
 use lancet_ir::{DepGraph, Graph, InstrId, Result};
+use std::cell::LazyCell;
 use std::collections::{HashMap, HashSet};
 
 /// Outcome of the dW scheduling pass.
@@ -73,10 +74,13 @@ pub fn schedule_weight_gradients(
     let a2a_positions = graph.all_to_all_positions();
     let dw_positions = graph.weight_grad_positions();
 
-    // Pre-compute estimated durations.
+    // Price through one producer index per pass: an irregular
+    // all-to-all reads its partition count off its counts chain.
+    let producers = LazyCell::new(|| graph.producer_positions());
+    let time = |pos| estimator.time_at(graph, pos, |t| producers.get(&t).copied());
     let mut dw_time: HashMap<usize, f64> = HashMap::new();
     for &p in &dw_positions {
-        dw_time.insert(p, estimator.instr_time(graph, p)?);
+        dw_time.insert(p, time(p)?);
     }
 
     let mut used: HashSet<usize> = HashSet::new();
@@ -90,7 +94,7 @@ pub fn schedule_weight_gradients(
     let mut estimated_overlap = 0.0;
 
     for &a in &a2a_positions {
-        let t_a = estimator.instr_time(graph, a)?;
+        let t_a = time(a)?;
         total_a2a_time += t_a;
         let mut t_u = t_a;
         // Candidates: independent of the all-to-all in both directions.

@@ -66,11 +66,6 @@ impl KvArena {
         }
     }
 
-    /// Total token capacity the arena was built with.
-    pub fn capacity_tokens(&self) -> usize {
-        self.capacity_tokens
-    }
-
     /// Tokens currently reserved by active slots.
     pub fn reserved_tokens(&self) -> usize {
         self.reserved_tokens

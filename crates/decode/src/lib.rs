@@ -28,6 +28,10 @@
 //! padded bucket. Batching and caching change *when* work happens,
 //! never *what* comes out.
 //!
+//! The crate exports the runtime only: the open-loop trace and replay
+//! harness its benchmark drives live in `lancet-bench`
+//! (`lancet_bench::load`).
+//!
 //! # Example
 //!
 //! ```
@@ -52,13 +56,11 @@ mod kv;
 mod model;
 mod runtime;
 mod stream;
-mod trace;
 
 pub use kv::{KvArena, SlotId};
 pub use model::{argmax, DecodeModel, DecodeSession};
 pub use runtime::{BatchMode, DecodeConfig, DecodeRuntime};
 pub use stream::{FinishReason, StreamTicket, StreamToken};
-pub use trace::{decode_trace, replay_decode, DecodeReplayReport, DecodeTraceRequest};
 
 // Re-export the error types decode APIs speak (shared with serve).
 pub use lancet_serve::{Result, ServeError};

@@ -517,9 +517,4 @@ impl DecodeSession {
     pub fn last_logits(&self) -> &[f32] {
         &self.last_logits
     }
-
-    /// Committed tokens in the cache.
-    pub fn cached_tokens(&self) -> usize {
-        self.arena.len(self.slot)
-    }
 }

@@ -6,7 +6,7 @@ use std::time::Duration;
 use lancet_fleet::{Fleet, FleetConfig};
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::{ServeConfig, ServeError};
+use lancet_serve::{FaultSpec, ServeConfig, ServeError};
 
 fn tiny_cfg(name: &str) -> GptMoeConfig {
     let mut cfg = GptMoeConfig::tiny(1, GateKind::Switch);
@@ -21,6 +21,12 @@ fn quick_serve() -> ServeConfig {
         exec_workers: 1,
         ..ServeConfig::default()
     }
+}
+
+/// Fault injection that sleeps `ms` before every batch: `slow_worker`
+/// at 1.0 always fires, so each batch costs its execution plus `ms`.
+fn every_batch_delayed(ms: u64) -> Option<FaultSpec> {
+    Some(FaultSpec { slow_worker: 1.0, slow_delay: Duration::from_millis(ms), ..FaultSpec::quiet(0) })
 }
 
 fn prompt(cfg: &GptMoeConfig, salt: usize) -> Vec<f32> {
@@ -82,15 +88,15 @@ fn routing_is_stable_and_health_aware() {
 #[test]
 fn work_stealing_spreads_a_hot_model() {
     // One model, so consistent routing aims everything at one replica;
-    // a 10ms service floor makes its queue build instantly, and a
+    // a 10ms delay on every batch makes its queue build instantly, and a
     // threshold of 1 lets the fleet spill to the idle replica.
     let fleet = Fleet::start(FleetConfig {
         replicas: 2,
         serve: ServeConfig {
-            service_floor: Duration::from_millis(10),
             max_batch: 1,
             batch_window: Duration::ZERO,
             exec_workers: 1,
+            fault: every_batch_delayed(10),
             ..ServeConfig::default()
         },
         steal_threshold: 1,
@@ -117,17 +123,17 @@ fn work_stealing_spreads_a_hot_model() {
 
 #[test]
 fn admission_stays_bounded_per_replica() {
-    // Tiny queues + a big service floor: the fleet must overflow to the
+    // Tiny queues + a 100ms delay on every batch: the fleet must overflow to the
     // other replica first, then reject with the same typed error a
     // single runtime gives.
     let fleet = Fleet::start(FleetConfig {
         replicas: 2,
         serve: ServeConfig {
             queue_depth: 2,
-            service_floor: Duration::from_millis(100),
             max_batch: 1,
             batch_window: Duration::ZERO,
             exec_workers: 1,
+            fault: every_batch_delayed(100),
             ..ServeConfig::default()
         },
         steal_threshold: usize::MAX,
@@ -163,10 +169,10 @@ fn crash_loses_no_admitted_ticket() {
     let fleet = Fleet::start(FleetConfig {
         replicas: 3,
         serve: ServeConfig {
-            service_floor: Duration::from_millis(5),
             max_batch: 2,
             batch_window: Duration::from_millis(1),
             exec_workers: 1,
+            fault: every_batch_delayed(5),
             ..ServeConfig::default()
         },
         steal_threshold: usize::MAX,

@@ -30,6 +30,8 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Probability that a worker sleeps [`slow_delay`](Self::slow_delay)
     /// before executing a batch (a straggling executor: slow but correct).
+    /// At 1.0 every batch is delayed, which emulates a fixed-latency
+    /// device.
     pub slow_worker: f64,
     /// How long a slow worker sleeps.
     pub slow_delay: Duration,
@@ -121,11 +123,6 @@ impl FaultInjector {
     /// How many decisions have fired so far, over all sites.
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
-    }
-
-    /// The spec this injector draws from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
     }
 
     /// Draws the next decision for `site` against probability `p`.

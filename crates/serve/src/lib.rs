@@ -30,6 +30,9 @@
 //! request gets exactly one reply or one typed [`ServeError`]. Fault and
 //! recovery counters surface in [`ServeStats`].
 //!
+//! The crate exports the runtime only: the open-loop load generator its
+//! benchmark replays lives in `lancet-bench` (`lancet_bench::load`).
+//!
 //! # Example
 //!
 //! ```
@@ -62,7 +65,6 @@ mod fault;
 mod plan;
 mod runtime;
 mod stats;
-mod trace;
 
 pub use admission::{drop_free, retry, Admission, Phase, Registry, State, Step};
 pub use cache::{CacheStats, PlanCache};
@@ -71,4 +73,3 @@ pub use fault::{FaultInjector, FaultSpec};
 pub use plan::{canonical_weights, pack_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 pub use runtime::{ServeConfig, ServeRuntime, Ticket};
 pub use stats::{Metrics, ServeStats};
-pub use trace::{open_loop_trace, replay_open_loop, ReplayReport, TraceRequest};

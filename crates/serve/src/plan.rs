@@ -382,11 +382,6 @@ impl Plan {
         self.bucket
     }
 
-    /// The shape of one request's logits response.
-    pub fn response_shape(&self) -> &[usize] {
-        &self.response_shape
-    }
-
     /// The optimized plan graph, printable via [`lancet_ir::to_text`]
     /// (tests compare a cached plan against a cold rebuild this way).
     pub fn graph(&self) -> &lancet_ir::Graph {
@@ -421,12 +416,6 @@ impl Plan {
             .get(0, self.logits)
             .expect("executor produces the logits")
             .clone())
-    }
-
-    /// The per-layer K/V handles this plan harvests (empty unless built
-    /// by [`Plan::build_prefill`]).
-    pub fn kv_handles(&self) -> &[LayerKv] {
-        &self.kv
     }
 
     /// Executes a prefill plan on a `[bucket, seq]` tensor of token ids,
@@ -472,7 +461,7 @@ impl Plan {
     }
 
     /// Slices request `row`'s logits out of a batched result (shape
-    /// [`Plan::response_shape`]). Rows are independent under the
+    /// `[seq, vocab]`). Rows are independent under the
     /// drop-free routing contract, so this is exactly what solo serving
     /// would have produced.
     pub fn response(&self, batched: &Tensor, row: usize) -> Tensor {

@@ -105,13 +105,6 @@ pub struct ServeConfig {
     /// [`ServeStats`]. Off by default: batches go to whichever worker
     /// frees up first and the counters stay zero.
     pub affinity: bool,
-    /// Minimum wall-clock service time per executed batch: when a batch
-    /// finishes faster, the worker sleeps out the remainder. Zero (the
-    /// default) disables the floor. This emulates a fixed-latency device
-    /// for fleet-scaling experiments on small hosts — N replicas sleeping
-    /// concurrently scale near-linearly the way N accelerators would,
-    /// where N CPU-bound replicas on one core would not.
-    pub service_floor: Duration,
 }
 
 impl Default for ServeConfig {
@@ -131,7 +124,6 @@ impl Default for ServeConfig {
             retry_backoff: Duration::from_millis(1),
             fault: None,
             affinity: false,
-            service_floor: Duration::ZERO,
         }
     }
 }
@@ -845,12 +837,7 @@ fn execute_entries(
     if shared.faults.exec_fault() {
         return Err(ServeError::Exec("injected transient execution fault".into()));
     }
-    let exec_started = Instant::now();
     let logits = plan.execute(&ids)?;
-    // Device emulation: pad the batch out to the configured service
-    // floor, so fleet-scaling runs on small hosts see accelerator-like
-    // fixed service times instead of CPU contention.
-    std::thread::sleep(shared.config.service_floor.saturating_sub(exec_started.elapsed()));
     Ok((plan, logits))
 }
 

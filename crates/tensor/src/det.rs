@@ -284,6 +284,13 @@ mod tests {
     fn lcg_steps_the_mmix_recurrence() {
         let mut lcg = Lcg::from_state(0);
         assert_eq!([lcg.next_u64(), lcg.next_u64()], [0x1405_7b7e_f767_814f, 0x1a08_ee11_84ba_6d32]);
+        // Seeded streams, recorded before `Lcg` moved here: every seeded
+        // bench trace replays from these draws.
+        let mut lcg = Lcg::new(0);
+        assert_eq!([lcg.next_u64(), lcg.next_u64()], [0xaa80_754d_1a1a_8d4f, 0xb3c4_904a_6d27_8932]);
+        let mut lcg = Lcg::new(0xbead);
+        assert_eq!(lcg.next_f64().to_bits(), 0x3fd0_c6bc_3858_8900);
+        assert_eq!((0..4).map(|_| lcg.next_below(1000)).collect::<Vec<_>>(), [27, 580, 641, 962]);
     }
 
     #[test]

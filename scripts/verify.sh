@@ -124,7 +124,8 @@ cargo test -q --release --test store_roundtrip
 
 echo "==> cargo bench -p lancet-bench --bench fleet -- --quick"
 # Fleet scaling floor: a closed burst through 1→4 store-backed replicas
-# (fixed service floor emulating device time) must reach ≥ 2.5x the
+# (a fixed per-batch delay, injected as an always-firing slow worker,
+# emulating device time) must reach ≥ 2.5x the
 # single-replica throughput at N=4, and the chaos leg (crash the routed
 # replica with a full queue) must lose zero admitted tickets.
 cargo bench -p lancet-bench --bench fleet -- --quick
