@@ -4,7 +4,7 @@ use crate::{
     deepspeed, raf, tutel_degree_graphs, DEEPSPEED_MEMORY_OVERHEAD, DEFAULT_MEMORY_OVERHEAD,
     PYTORCH_COMPUTE_OVERHEAD,
 };
-use lancet_core::{Lancet, LancetOptions};
+use lancet_core::{Lancet, LancetOptions, PartitionReport};
 use lancet_cost::{ClusterKind, ClusterSpec, CommModel, ComputeModel};
 use lancet_ir::{BackwardOptions, Result};
 use lancet_models::{build_forward, GptMoeConfig};
@@ -64,6 +64,9 @@ pub struct RunOutcome {
     pub predicted: Option<f64>,
     /// Optimization wall-clock time (Lancet variants only).
     pub opt_time: Option<Duration>,
+    /// The partition search's report (Lancet variants that partition):
+    /// its pricing counts measure the optimizer's work deterministically.
+    pub partition: Option<PartitionReport>,
     /// The overlap degree Tutel's search selected.
     pub tutel_degree: Option<usize>,
 }
@@ -99,6 +102,7 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
                 report: sim.simulate(&graph),
                 predicted: None,
                 opt_time: None,
+                partition: None,
                 tutel_degree: None,
             })
         }
@@ -110,6 +114,7 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
                 report: sim.simulate(&graph),
                 predicted: None,
                 opt_time: None,
+                partition: None,
                 tutel_degree: None,
             })
         }
@@ -131,7 +136,14 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
                 }
             }
             let (degree, report) = best.expect("at least one degree evaluated");
-            Ok(RunOutcome { system, report, predicted: None, opt_time: None, tutel_degree: Some(degree) })
+            Ok(RunOutcome {
+                system,
+                report,
+                predicted: None,
+                opt_time: None,
+                partition: None,
+                tutel_degree: Some(degree),
+            })
         }
         System::Lancet | System::LancetDwOnly | System::LancetPartitionOnly => {
             let options = LancetOptions {
@@ -150,6 +162,7 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
                 report: sim.simulate(&outcome.graph),
                 predicted: Some(outcome.predicted_time),
                 opt_time: Some(outcome.optimization_time),
+                partition: outcome.partition,
                 tutel_degree: None,
             })
         }

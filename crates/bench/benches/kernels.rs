@@ -5,7 +5,8 @@
 //! 768, FFN 3072), asserts the engines are bit-identical on the benched
 //! operands, times prepacked products at every row remainder of the
 //! 4-row register tile against whole tiles, times GELU and GELU-grad on
-//! `lancet_tensor::det::tanh` against the platform libm's `tanhf`, and
+//! `lancet_tensor::det::tanh` against the platform libm's `tanhf`, times
+//! `TensorRng::normal` against the scalar loop it replaced, and
 //! records the measured speedups to
 //! `results/BENCH_kernels.json` so the comparison is a tracked artifact
 //! (like the fig15 engine table). The table is reproduced and discussed
@@ -98,6 +99,16 @@ const GELU_SAMPLES: usize = 30;
 /// runs on a 2-core AVX-512 host measured 6.3–7.2x for both ops; the
 /// floor is under half the lowest, for noisy CI machines.
 const MIN_GELU_SPEEDUP: f64 = 3.0;
+/// Weight-initialization rows: one GPT2-S FFN weight drawn by
+/// `TensorRng::normal` (SIMD lanes of independent elements) against the
+/// one-draw-at-a-time loop it replaced.
+const INIT_SHAPE: [usize; 2] = [HIDDEN, FFN];
+/// Samples per side for the init rows (~60 ms per scalar call).
+const INIT_SAMPLES: usize = 10;
+/// Floor for lane-parallel normals over the scalar loop, min over min,
+/// enforced in both modes when `detected_isa()` is AVX-512 (other ISAs
+/// run narrower lanes, and are only checked for bit-identity).
+const MIN_INIT_SPEEDUP: f64 = 1.5;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -293,6 +304,27 @@ fn main() {
         ],
     );
 
+    // Weight initialization: the lane kernels must draw the scalar loop's
+    // bits, and advance the generator as far.
+    let init_std = 0.02;
+    let mut lanes_rng = TensorRng::seed(42);
+    let mut scalar_rng = TensorRng::seed(42);
+    let drawn = lanes_rng.normal(INIT_SHAPE.to_vec(), init_std);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(drawn.data()) == bits(normal_scalar(&mut scalar_rng, &INIT_SHAPE, init_std).data())
+            && lanes_rng.sample().to_bits() == scalar_rng.sample().to_bits(),
+        "TensorRng::normal drifted from the scalar loop"
+    );
+    let init = interleaved(
+        "init_normal",
+        INIT_SAMPLES,
+        [
+            ("scalar", &mut || drop(normal_scalar(&mut TensorRng::seed(42), &INIT_SHAPE, init_std))),
+            ("lanes", &mut || drop(TensorRng::seed(42).normal(INIT_SHAPE.to_vec(), init_std))),
+        ],
+    );
+
     // Chunk-parallel reduction op, for the where-does-the-time-go story.
     let scores = rng.uniform(vec![TOKENS * 12, TOKENS], -4.0, 4.0);
     let softmax =
@@ -316,6 +348,7 @@ fn main() {
     let row7_vs_row8 = over_8_rows[2];
     let gelu_det = speedup(&gelu[0], &gelu[1]);
     let gelu_grad_det = speedup(&gelu_grad[0], &gelu_grad[1]);
+    let init_lanes = speedup(&init[0], &init[1]);
 
     println!();
     println!("speedup over naive (min-of-samples):");
@@ -338,6 +371,8 @@ fn main() {
     println!("speedup of det::tanh over libm tanhf (one thread):");
     println!("  gelu             {gelu_det:>7.2}x");
     println!("  gelu_grad        {gelu_grad_det:>7.2}x");
+    println!("speedup of lane-parallel TensorRng::normal over the scalar loop ({}):", gemm::detected_isa());
+    println!("  init_normal      {init_lanes:>7.2}x");
     println!("  workers (auto)   {:>7}", default_workers());
 
     let best = tiled_vs_naive.max(threaded_vs_naive);
@@ -372,6 +407,13 @@ fn main() {
         "GELU regression: det speedup {worst_gelu:.2}x < {MIN_GELU_SPEEDUP}x floor"
     );
 
+    if gemm::detected_isa() == "avx512" {
+        assert!(
+            init_lanes >= MIN_INIT_SPEEDUP,
+            "init regression: lane-parallel normal speedup {init_lanes:.2}x < {MIN_INIT_SPEEDUP}x floor"
+        );
+    }
+
     if !quick {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
         write_artifact(
@@ -387,6 +429,7 @@ fn main() {
                 padded_rows,
                 gelu,
                 gelu_grad,
+                init,
                 softmax,
             ]
             .concat(),
@@ -403,6 +446,7 @@ fn main() {
                 ("padded_vs_dense_experts", padded),
                 ("gelu_det_vs_libm", gelu_det),
                 ("gelu_grad_det_vs_libm", gelu_grad_det),
+                ("init_normal_lanes_vs_scalar", init_lanes),
             ],
             &[
                 ("prepacked_vs_repack_batch", batch_paired),
@@ -436,6 +480,16 @@ fn gelu_grad_libm(x: &Tensor, g: &Tensor) -> Tensor {
     Tensor::from_vec(x.shape().to_vec(), data.collect()).unwrap()
 }
 
+/// `TensorRng::normal`'s former loop: each element sums twelve
+/// [`TensorRng::sample`] draws, one at a time.
+fn normal_scalar(rng: &mut TensorRng, shape: &[usize], std: f32) -> Tensor {
+    let data = (0..shape.iter().product::<usize>()).map(|_| {
+        let s: f32 = (0..12).map(|_| rng.sample()).sum();
+        (s - 6.0) * std
+    });
+    Tensor::from_vec(shape.to_vec(), data.collect()).unwrap()
+}
+
 /// Materializes the transpose of every `(R, C)` slice of a rank-3 tensor.
 fn transpose_slices(x: &Tensor) -> Tensor {
     let (e, r, c) = (x.shape()[0], x.shape()[1], x.shape()[2]);
@@ -465,9 +519,11 @@ fn write_artifact(path: &str, rows: Vec<Summary>, speedups: &[(&str, f64)], pair
                 ("padded", dims(&[PADDED_EXPERTS, CAPACITY, HIDDEN, FFN])),
                 ("transposed", dims(&TRANSPOSED)),
                 ("gelu", dims(&GELU_SHAPE)),
+                ("init_normal", dims(&INIT_SHAPE)),
             ]),
         ),
         ("workers_auto", default_workers().into()),
+        ("isa", gemm::detected_isa().into()),
         ("avx2", std::arch::is_x86_feature_detected!("avx2").into()),
         ("results", Json::arr(rows.iter().map(Summary::to_json))),
         // One speedup per line: verify.sh greps `prepacked_vs_repack_step`.

@@ -162,6 +162,8 @@ pub fn hyperparams(quick: bool) -> Vec<Record> {
         r.gpus = gpus;
         r.system = format!("rho{rho}_gamma{gamma}_iota{iota}");
         r.opt_time_s = Some(outcome.optimization_time.as_secs_f64());
+        // P(i, n, k) pricings: the search's work, free of host noise.
+        r.extra = outcome.partition.as_ref().map(|p| p.evaluations as f64);
         records.push(r);
     }
     print_table(

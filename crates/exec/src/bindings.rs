@@ -81,6 +81,14 @@ impl Bindings {
         self.per_device[device].get(&tensor).map(Arc::as_ref)
     }
 
+    /// Unbinds `tensor` on `device` (dropping its pack) and returns the
+    /// value itself, not a copy. A value replicated by
+    /// [`Bindings::set_all`] stays shared with the devices not yet taken.
+    pub fn take(&mut self, device: usize, tensor: TensorId) -> Option<Arc<Tensor>> {
+        self.packed[device].remove(&tensor);
+        self.per_device[device].remove(&tensor)
+    }
+
     /// Whether `self` and `other` bind the *same allocation* for `tensor`
     /// on `device` (not merely equal values). This is the executor-reuse
     /// guarantee serving relies on: cloning weight bindings per request
@@ -110,6 +118,16 @@ impl Bindings {
     /// [`Bindings::prepack_weights`]).
     pub fn packed(&self, device: usize, tensor: TensorId) -> Option<&PackedTensor> {
         self.packed[device].get(&tensor).map(Arc::as_ref)
+    }
+
+    /// Every resident pack, as `(device, tensor, panels)`. A panel buffer
+    /// shared across devices or bindings appears once per holder; its
+    /// `Arc` identifies it.
+    pub fn packs(&self) -> impl Iterator<Item = (usize, TensorId, &Arc<PackedTensor>)> {
+        self.packed
+            .iter()
+            .enumerate()
+            .flat_map(|(d, map)| map.iter().map(move |(&t, p)| (d, t, p)))
     }
 
     /// Installs an externally built panel buffer (e.g. deserialized from a
@@ -151,7 +169,7 @@ impl Bindings {
     /// unexpected rank (e.g. sliced/transformed before the matmul), is
     /// left unpacked — the kernels then repack per call exactly as before,
     /// so prepacking is always safe to attempt. Weights replicated across
-    /// devices (same `Arc`) pack once and share the buffer.
+    /// devices (one element buffer) pack once and share the panels.
     pub fn prepack_weights(&mut self, graph: &Graph) -> PrepackStats {
         #[derive(Clone, Copy, PartialEq, Eq)]
         enum Want {
@@ -185,9 +203,10 @@ impl Bindings {
 
         let mut stats = PrepackStats::default();
         for (tid, want) in order {
-            // Replicated weights share one value Arc across devices; key
-            // built packs by that pointer so they share one panel buffer.
-            let mut built: Vec<(*const Tensor, Arc<PackedTensor>)> = Vec::new();
+            // Replicated weights share one element buffer across devices
+            // (one value `Arc`, or shared windows of one owner); key built
+            // packs by that buffer so they share one panel buffer.
+            let mut built: Vec<(*const f32, Arc<PackedTensor>)> = Vec::new();
             for d in 0..self.per_device.len() {
                 let Some(value) = self.per_device[d].get(&tid) else { continue };
                 // A matching resident pack (installed from a model store)
@@ -202,7 +221,7 @@ impl Bindings {
                         continue;
                     }
                 }
-                let key = Arc::as_ptr(value);
+                let key = value.data().as_ptr();
                 let pack = match built.iter().find(|(k, _)| *k == key) {
                     Some((_, p)) => Arc::clone(p),
                     None => {

@@ -16,6 +16,7 @@
 
 use crate::plan::{Plan, PlanKey};
 use crate::{Result, ServeError};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Point-in-time cache effectiveness counters.
@@ -29,9 +30,11 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Plans currently resident.
     pub len: usize,
-    /// Heap bytes held by resident plans' prepacked weight panels (the
-    /// memory cost of skipping per-call GEMM packing; see
-    /// [`lancet_exec::PrepackStats`]).
+    /// Bytes of the distinct prepacked weight panel buffers that
+    /// resident plans hold (the memory cost of skipping per-call GEMM
+    /// packing). Plans of one model share its pack set, so a buffer held
+    /// by several plans counts once, and evicting a plan frees nothing
+    /// while another plan still holds its panels.
     pub packed_bytes: u64,
 }
 
@@ -155,7 +158,7 @@ impl PlanCache {
             misses: inner.misses,
             evictions: inner.evictions,
             len: inner.entries.len(),
-            packed_bytes: inner.entries.iter().map(|(_, p)| p.prepack.bytes).sum(),
+            packed_bytes: distinct_panel_bytes(inner.entries.iter().map(|(_, p)| p.as_ref())),
         }
     }
 
@@ -174,4 +177,16 @@ impl PlanCache {
     pub fn keys(&self) -> Vec<PlanKey> {
         self.inner.lock().expect("plan cache lock").entries.iter().map(|(k, _)| k.clone()).collect()
     }
+}
+
+/// Bytes of the distinct panel buffers `plans` hold, each counted once
+/// however many plans, devices or weights share it (identity is the
+/// buffer's `Arc`).
+fn distinct_panel_bytes<'a>(plans: impl Iterator<Item = &'a Plan>) -> u64 {
+    let mut seen = HashSet::new();
+    plans
+        .flat_map(|p| p.weights().packs())
+        .filter(|(_, _, pack)| seen.insert(Arc::as_ptr(pack)))
+        .map(|(_, _, pack)| pack.bytes())
+        .sum()
 }

@@ -81,6 +81,11 @@ pub type PackSet = Vec<HashMap<String, Arc<PackedTensor>>>;
 /// per device, initialized from the *batch = 1* forward graph so the
 /// values are independent of any serving bucket's tensor numbering.
 ///
+/// Every value is a shared buffer ([`Tensor::into_shared`]): the
+/// initialized elements are moved there, not copied, and a weight
+/// replicated across devices is one buffer. Cloning a value — as each
+/// plan build and each model registration does — bumps a refcount.
+///
 /// # Errors
 ///
 /// Returns [`ServeError::Plan`] if the model graph cannot be built or a
@@ -89,15 +94,15 @@ pub fn canonical_weights(cfg: &GptMoeConfig, seed: u64) -> Result<CanonicalWeigh
     let model = build_forward(&cfg.clone().with_batch(1))
         .map_err(|e| ServeError::Plan(format!("canonical graph: {e}")))?;
     let devices = cfg.gpus;
-    let bindings = init_weights(&model.graph, devices, seed);
+    let mut bindings = init_weights(&model.graph, devices, seed);
     let mut per_device: CanonicalWeights = vec![HashMap::new(); devices];
     for id in model.graph.weights() {
         let name = model.graph.tensor(id).name.clone();
-        for (d, map) in per_device.iter_mut().enumerate() {
-            let value = bindings
-                .get(d, id)
-                .expect("init_weights binds every weight on every device")
-                .clone();
+        let values = (0..devices)
+            .map(|d| bindings.take(d, id))
+            .collect::<Option<Vec<_>>>()
+            .expect("init_weights binds every weight on every device");
+        for (map, value) in per_device.iter_mut().zip(shared_per_device(values)) {
             if map.insert(name.clone(), value).is_some() {
                 return Err(ServeError::Plan(format!(
                     "weight name `{name}` is not unique; names key the canonical store"
@@ -108,9 +113,29 @@ pub fn canonical_weights(cfg: &GptMoeConfig, seed: u64) -> Result<CanonicalWeigh
     Ok(per_device)
 }
 
+/// Moves one weight's per-device values into shared buffers without
+/// copying. `init_weights` binds a value to every device (a replicated
+/// weight) or to one, so devices sharing a value are adjacent: each run
+/// of them drops its extra handles first, then moves the value into one
+/// buffer they all share.
+fn shared_per_device(values: Vec<Arc<Tensor>>) -> Vec<Tensor> {
+    let mut out = Vec::with_capacity(values.len());
+    let mut values = values.into_iter().peekable();
+    while let Some(value) = values.next() {
+        let mut devices = 1;
+        while values.next_if(|next| Arc::ptr_eq(&value, next)).is_some() {
+            devices += 1;
+        }
+        let shared = Arc::unwrap_or_clone(value).into_shared();
+        out.extend(std::iter::repeat_n(shared, devices));
+    }
+    out
+}
+
 /// Builds the prepacked GEMM panels for `canonical` — what a model store
-/// carries next to the weights: bind every weight, run the executor's
-/// prepack pass, and harvest the per-device panels keyed by weight name.
+/// carries next to the weights, and what registration packs once per
+/// model: bind every weight, run the executor's prepack pass, and harvest
+/// the per-device panels keyed by weight name.
 ///
 /// # Errors
 ///
@@ -132,13 +157,8 @@ pub fn pack_weights(cfg: &GptMoeConfig, canonical: &CanonicalWeights) -> Result<
     }
     bindings.prepack_weights(&graph);
     let mut packs: PackSet = vec![HashMap::new(); canonical.len()];
-    for id in graph.weights() {
-        let name = &graph.tensor(id).name;
-        for (d, map) in packs.iter_mut().enumerate() {
-            if let Some(p) = bindings.packed(d, id) {
-                map.insert(name.clone(), Arc::new(p.clone()));
-            }
-        }
+    for (d, id, pack) in bindings.packs() {
+        packs[d].insert(graph.tensor(id).name.clone(), Arc::clone(pack));
     }
     Ok(packs)
 }
@@ -167,9 +187,11 @@ pub struct Plan {
     /// Wall-clock time plan construction took (graph build + optimize +
     /// weight binding) — the cost a cache hit avoids.
     pub build_time: Duration,
-    /// What prepacking the plan's weights into GEMM panel form cost in
-    /// resident memory. Per-request clones share these buffers, so this is
-    /// the whole footprint regardless of traffic.
+    /// The panels this plan's build packed itself (`tensors`, `bytes`)
+    /// and the bindings it adopted from a pack set instead (`reused`).
+    /// Adopted panels are shared with the pack set and every plan that
+    /// adopted them, so resident panel memory is counted across plans,
+    /// once per buffer, in [`CacheStats::packed_bytes`](crate::CacheStats::packed_bytes).
     pub prepack: PrepackStats,
     /// Partition-search statistics from the optimizer.
     pub stats: OptimizerStats,
@@ -196,11 +218,12 @@ impl Plan {
         Plan::build_with(lancet, cfg.clone().with_batch(bucket), bucket, canonical, None, false)
     }
 
-    /// [`Plan::build`], additionally adopting prepacked panels (typically
-    /// loaded zero-copy from a model store) for the weights they name.
-    /// Matching packs are installed before the prepack pass, which then
-    /// skips those weights ([`PrepackStats::reused`]) — a store-loaded
-    /// replica builds plans without re-packing anything. Stale or
+    /// [`Plan::build`], additionally adopting prepacked panels (the
+    /// registered model's pack set, or one loaded zero-copy from a model
+    /// store) for the weights they name. Matching packs are installed
+    /// before the prepack pass, which then skips those weights
+    /// ([`PrepackStats::reused`]) — so a runtime's bucket plans pack
+    /// nothing and share one set of panels. Stale or
     /// mismatched packs are rejected per weight and repacked fresh, so a
     /// wrong pack set degrades to [`Plan::build`] rather than failing.
     ///
@@ -326,7 +349,7 @@ impl Plan {
                 weights.set(d, id, value.clone());
             }
         }
-        // Adopt store-carried panels first: install_pack validates each
+        // Adopt the model's panels first: install_pack validates each
         // against the bound value, so a stale set degrades to repacking.
         if let Some(packs) = packs {
             for id in graph.weights() {
@@ -340,8 +363,8 @@ impl Plan {
         }
         // Pack matmul weights into the GEMM's panel layout once, at build
         // time — every execution of this cached plan then skips per-call
-        // packing (the steady-state serving win PR 8 measures). Weights
-        // covered by adopted panels are skipped (`PrepackStats::reused`).
+        // packing. Weights covered by adopted panels are skipped
+        // (`PrepackStats::reused`).
         let prepack = weights.prepack_weights(&graph);
 
         // Harvested handles must still resolve in the optimized graph
@@ -380,6 +403,11 @@ impl Plan {
     /// The batch bucket this plan serves.
     pub fn bucket(&self) -> usize {
         self.bucket
+    }
+
+    /// The weight bindings every execution clones.
+    pub(crate) fn weights(&self) -> &Bindings {
+        &self.weights
     }
 
     /// The optimized plan graph, printable via [`lancet_ir::to_text`]
@@ -469,5 +497,27 @@ impl Plan {
         let per = self.response_shape.iter().product::<usize>();
         let data = batched.data()[row * per..(row + 1) * per].to_vec();
         Tensor::from_vec(self.response_shape.clone(), data).expect("slice volume matches shape")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lancet_ir::GateKind;
+
+    #[test]
+    fn canonical_weights_are_the_initialized_values_in_shared_buffers() {
+        let cfg = GptMoeConfig::tiny(2, GateKind::Switch);
+        let canonical = canonical_weights(&cfg, 5).unwrap();
+        let graph = build_forward(&cfg.clone().with_batch(1)).unwrap().graph;
+        let init = init_weights(&graph, 2, 5);
+        for id in graph.weights() {
+            let name = &graph.tensor(id).name;
+            let (a, b) = (&canonical[0][name], &canonical[1][name]);
+            assert!(a.is_shared() && b.is_shared(), "{name}");
+            assert_eq!((a, b), (init.get(0, id).unwrap(), init.get(1, id).unwrap()), "{name}");
+            // Replicated weights share one buffer; expert shards own theirs.
+            assert_eq!(a.data().as_ptr() == b.data().as_ptr(), !name.contains("expert"), "{name}");
+        }
     }
 }

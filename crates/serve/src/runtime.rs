@@ -47,7 +47,7 @@ use lancet_tensor::{det, pool, Tensor};
 use crate::admission::{drop_free, retry, Admission, Phase, Registry, State, Step};
 use crate::cache::PlanCache;
 use crate::fault::{FaultInjector, FaultSpec};
-use crate::plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
+use crate::plan::{canonical_weights, pack_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 use crate::stats::{Metrics, ServeStats};
 use crate::{Result, ServeError};
 
@@ -139,9 +139,10 @@ struct ModelEntry {
     /// Expert→worker plan for affinity dispatch (`None` unless
     /// [`ServeConfig::affinity`] is set).
     placement: Option<PlacementPlan>,
-    /// Prepacked GEMM panels carried in from a model store; plan builds
-    /// adopt them instead of re-packing (`None` for generated weights).
-    packs: Option<Arc<PackSet>>,
+    /// The model's prepacked GEMM panels, packed once at registration
+    /// (or carried in from a model store); every bucket's plan adopts
+    /// them instead of re-packing.
+    packs: PackSet,
 }
 
 /// A request waiting in a queue.
@@ -282,8 +283,10 @@ impl ServeRuntime {
         })
     }
 
-    /// Registers `cfg` under its `name`, building the canonical weights
-    /// and the model's plan optimizer. The capacity factor is normalized
+    /// Registers `cfg` under its `name`, building the canonical weights,
+    /// their GEMM panels and the model's plan optimizer. Each is built
+    /// once per model: every bucket's plan binds the canonical weights by
+    /// refcount and adopts the panels. The capacity factor is normalized
     /// to the expert count so routing is drop-free — the transparent-
     /// batching precondition (see the module docs).
     ///
@@ -300,9 +303,9 @@ impl ServeRuntime {
     /// Registers `cfg` with caller-supplied weights — the model-store
     /// load path, where the canonical weights (and, optionally, the
     /// prepacked GEMM panels) come from a mapped store file instead of
-    /// seeded generation. When `packs` is given, plan builds adopt the
-    /// panels instead of re-packing, so a store-loaded replica's first
-    /// plan build does no packing work at all.
+    /// seeded generation. Without `packs`, the panels are packed here,
+    /// once ([`pack_weights`]). Either way every plan build adopts them
+    /// instead of re-packing, so no bucket's plan build does packing work.
     ///
     /// The capacity factor is normalized exactly as in
     /// [`register_model`](Self::register_model) — normalization never
@@ -313,7 +316,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::BadRequest`] if the name is taken or the weights
     /// don't cover `cfg.gpus` devices; [`ServeError::Plan`] if the model
-    /// graph cannot be built.
+    /// graph cannot be built or `canonical` lacks one of its weights.
     pub fn register_model_with_weights(
         &self,
         cfg: GptMoeConfig,
@@ -356,7 +359,10 @@ impl ServeRuntime {
             let options = PlacementOptions::default();
             optimize_placement(&traffic, self.shared.exec_workers, 1, &options).0
         });
-        let packs = packs.map(Arc::new);
+        let packs = match packs {
+            Some(packs) => packs,
+            None => pack_weights(&cfg, &canonical)?,
+        };
         self.shared.models.insert(cfg.name.clone(), ModelEntry { cfg, lancet, canonical, placement, packs })
     }
 
@@ -429,9 +435,11 @@ impl ServeRuntime {
     /// Pre-builds `model`'s execution plan for every batch bucket
     /// (1, 2, 4, …, up to `max_batch` rounded to a power of two) into the
     /// plan cache, so the first real requests measure steady-state
-    /// service instead of plan compilation. Management-plane operation:
-    /// it bypasses admission, batching, and fault injection, and is
-    /// idempotent — buckets already cached are left untouched.
+    /// service instead of plan compilation. Plans adopt the panels packed
+    /// at registration, so warming optimizes graphs and packs nothing.
+    /// Management-plane operation: it bypasses admission, batching, and
+    /// fault injection, and is idempotent — buckets already cached are
+    /// left untouched.
     ///
     /// # Errors
     ///
@@ -454,7 +462,7 @@ impl ServeRuntime {
                     &entry.cfg,
                     bucket,
                     &entry.canonical,
-                    entry.packs.as_deref(),
+                    Some(&entry.packs),
                 )
             })?;
         }
@@ -821,7 +829,7 @@ fn execute_entries(
             &entry.cfg,
             bucket,
             &entry.canonical,
-            entry.packs.as_deref(),
+            Some(&entry.packs),
         )
     })?;
 
@@ -860,5 +868,42 @@ mod tests {
         assert_eq!(bucket_for(3), 4);
         assert_eq!(bucket_for(8), 8);
         assert_eq!(bucket_for(9), 16);
+    }
+
+    #[test]
+    fn warm_buckets_share_the_models_weights_and_panels() {
+        let runtime =
+            ServeRuntime::start(ServeConfig { exec_workers: 1, max_batch: 4, ..ServeConfig::default() });
+        let cfg = GptMoeConfig::tiny(1, lancet_ir::GateKind::Switch);
+        runtime.register_model(cfg.clone()).unwrap();
+        runtime.warm_model(&cfg.name).unwrap();
+        let entry = runtime.shared.models.get(&cfg.name).unwrap();
+        let (canonical, packs) = (&entry.canonical[0], &entry.packs[0]);
+        assert!(!packs.is_empty(), "registration packs the model's panels");
+        let cache = runtime.plan_cache();
+        let plans: Vec<Arc<Plan>> = cache.keys().iter().map(|k| cache.get(k).unwrap()).collect();
+        assert_eq!(plans.len(), 3, "buckets 1, 2 and 4");
+        for plan in &plans {
+            assert_eq!((plan.prepack.tensors, plan.prepack.bytes), (0, 0), "bucket {}", plan.bucket());
+            assert_eq!(plan.prepack.reused, packs.len(), "bucket {}", plan.bucket());
+        }
+        for plan in &plans[..2] {
+            let graph = plan.graph();
+            for id in graph.weights() {
+                let name = &graph.tensor(id).name;
+                let value = plan.weights().get(0, id).unwrap();
+                assert!(canonical[name].is_shared(), "{name}");
+                assert_eq!(value.data().as_ptr(), canonical[name].data().as_ptr(), "{name} was copied");
+                let bound = plan.weights().packs().find(|&(_, t, _)| t == id).map(|(_, _, p)| p);
+                match (packs.get(name), bound) {
+                    (Some(pack), Some(bound)) => assert!(Arc::ptr_eq(pack, bound), "{name} was repacked"),
+                    (None, None) => {}
+                    (pack, bound) => panic!("{name}: pack set {} but plan {}", pack.is_some(), bound.is_some()),
+                }
+            }
+        }
+        let set_bytes: u64 = packs.values().map(|p| p.bytes()).sum();
+        assert_eq!(runtime.stats().cache.packed_bytes, set_bytes, "one model's panels, counted once");
+        runtime.shutdown();
     }
 }

@@ -7,7 +7,7 @@ use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_core::{Lancet, LancetOptions};
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::{canonical_weights, Plan, PlanCache, PlanKey};
+use lancet_serve::{canonical_weights, pack_weights, Plan, PlanCache, PlanKey};
 
 fn tiny_cfg() -> GptMoeConfig {
     let cfg = GptMoeConfig::tiny(1, GateKind::Switch);
@@ -119,6 +119,30 @@ fn packed_bytes_track_resident_plans() {
     let k3 = key("tiny", 4, ClusterKind::A100);
     let plan3 = cache.get_or_insert_with(&k3, || Ok(build_plan(ClusterKind::A100, 4))).unwrap();
     assert_eq!(cache.stats().packed_bytes, plan2.prepack.bytes + plan3.prepack.bytes);
+
+    // Plans adopting one model's pack set share its panels: four warm
+    // buckets hold one model's panel bytes — not four times them, and not
+    // zero because no plan packed anything itself.
+    let cfg = tiny_cfg();
+    let canonical = canonical_weights(&cfg, 7).unwrap();
+    let packs = pack_weights(&cfg, &canonical).unwrap();
+    let set_bytes: u64 = packs[0].values().map(|p| p.bytes()).sum();
+    assert!(set_bytes > 0);
+    let lancet = optimizer(ClusterKind::A100, cfg.gpus);
+    let shared = PlanCache::new(4);
+    let build = |bucket| {
+        let plan = Plan::build_with_packs(&lancet, &cfg, bucket, &canonical, Some(&packs)).unwrap();
+        assert_eq!(plan.prepack.bytes, 0, "bucket {bucket} adopts every panel");
+        Ok(plan)
+    };
+    for bucket in [1usize, 2, 4, 8] {
+        shared.get_or_insert_with(&key("tiny", bucket, ClusterKind::A100), || build(bucket)).unwrap();
+    }
+    assert_eq!(shared.stats().packed_bytes, set_bytes);
+    // Evicting one bucket frees nothing while the others hold the panels.
+    shared.get_or_insert_with(&key("tiny", 16, ClusterKind::A100), || build(16)).unwrap();
+    assert_eq!(shared.stats().evictions, 1);
+    assert_eq!(shared.stats().packed_bytes, set_bytes);
 }
 
 #[test]

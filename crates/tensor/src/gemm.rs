@@ -564,21 +564,26 @@ fn batched_gemm_packed(
     });
 }
 
+/// The widest SIMD level this CPU runs, probed once per process: the
+/// crate's one CPU-feature check, shared by the GEMM micro-kernel and
+/// [`TensorRng::normal`](crate::TensorRng::normal).
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-enum Isa {
-    Avx512,
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// AVX-512F; `dq` when AVX-512DQ (64-bit lane multiplies) is also
+    /// present.
+    Avx512 { dq: bool },
     Avx2,
     Portable,
 }
 
 #[cfg(target_arch = "x86_64")]
-fn isa() -> Isa {
+pub(crate) fn isa() -> Isa {
     use std::sync::OnceLock;
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
         if std::arch::is_x86_feature_detected!("avx512f") {
-            Isa::Avx512
+            Isa::Avx512 { dq: std::arch::is_x86_feature_detected!("avx512dq") }
         } else if std::arch::is_x86_feature_detected!("avx2") {
             Isa::Avx2
         } else {
@@ -594,7 +599,7 @@ pub fn detected_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            Isa::Avx512 => "avx512",
+            Isa::Avx512 { .. } => "avx512",
             Isa::Avx2 => "avx2",
             Isa::Portable => "portable",
         }
@@ -614,7 +619,7 @@ fn compute_blocks(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
     {
         match isa() {
             // SAFETY: the matching CPU feature was verified at runtime.
-            Isa::Avx512 => return unsafe { compute_blocks_avx512(g, blocks) },
+            Isa::Avx512 { .. } => return unsafe { compute_blocks_avx512(g, blocks) },
             // SAFETY: as above.
             Isa::Avx2 => return unsafe { compute_blocks_avx2(g, blocks) },
             Isa::Portable => {}

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::storage::{Buf, BufOwner};
+use crate::storage::{Buf, BufOwner, VecOwner};
 use crate::{Result, Shape, TensorError, DEFAULT_ATOL, DEFAULT_RTOL};
 
 /// A dense, row-major `f32` tensor.
@@ -70,6 +70,20 @@ impl Tensor {
             actual: total,
         })?;
         Ok(Tensor { shape, data })
+    }
+
+    /// Moves owned elements behind a shared [`VecOwner`] without copying
+    /// them, so clones of the result bump a refcount instead of copying
+    /// the buffer. A shared tensor is returned as it is.
+    pub fn into_shared(self) -> Tensor {
+        match self.data {
+            Buf::Owned(v) => {
+                let len = v.len();
+                let data = Buf::Shared { owner: Arc::new(VecOwner(v)), offset: 0, len };
+                Tensor { shape: self.shape, data }
+            }
+            Buf::Shared { .. } => self,
+        }
     }
 
     /// Whether the elements are borrowed from a shared owner (no mutation
@@ -274,7 +288,6 @@ mod tests {
 
     #[test]
     fn shared_storage_is_observationally_owned() {
-        use crate::storage::VecOwner;
         let owner: Arc<dyn BufOwner> = Arc::new(VecOwner((0..6).map(|x| x as f32).collect()));
         let t = Tensor::from_shared(vec![2, 3], Arc::clone(&owner), 0, 6).unwrap();
         let o = Tensor::from_vec(vec![2, 3], (0..6).map(|x| x as f32).collect()).unwrap();
@@ -294,6 +307,19 @@ mod tests {
         // Bounds and volume are checked.
         assert!(Tensor::from_shared(vec![2, 3], Arc::clone(&owner), 2, 6).is_err());
         assert!(Tensor::from_shared(vec![2, 2], Arc::clone(&owner), 0, 6).is_err());
+    }
+
+    #[test]
+    fn into_shared_moves_the_buffer() {
+        let t = Tensor::from_vec(vec![2, 3], (0..6).map(|x| x as f32).collect()).unwrap();
+        let at = t.data().as_ptr();
+        let s = t.clone().into_shared();
+        assert!(s.is_shared());
+        assert_eq!(s, t);
+        let s = t.into_shared();
+        assert_eq!(s.data().as_ptr(), at, "moved, not copied");
+        assert_eq!(s.clone().data().as_ptr(), at, "clones share the buffer");
+        assert_eq!(s.clone().into_shared().data().as_ptr(), at);
     }
 
     #[test]

@@ -88,8 +88,10 @@ echo "==> cargo bench -p lancet-bench --bench kernels -- --quick"
 # EXPERIMENTS.md, that prepacked weight panels beat repack-per-call
 # at the decode-step shape, that a 7-row prepacked product takes at most
 # 1.25x the time of an 8-row one (remainder tiles run the full-tile
-# sweep), and that GELU and GELU-grad on det::tanh beat libm's tanhf by
-# >= 3x (no artifact is written in --quick mode).
+# sweep), that GELU and GELU-grad on det::tanh beat libm's tanhf by
+# >= 3x, and that TensorRng::normal's SIMD lanes draw the scalar loop's
+# bits (and, on AVX-512 hosts, beat it by >= 1.5x; no artifact is
+# written in --quick mode).
 cargo bench -p lancet-bench --bench kernels -- --quick
 
 echo "==> committed BENCH_kernels.json records the prepack win"
